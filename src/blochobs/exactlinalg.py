@@ -10,15 +10,17 @@ from __future__ import annotations
 from typing import Sequence
 
 
-def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, zero):
-    """Solve ``matrix @ x = rhs`` exactly.
+def solve_exact(matrix: Sequence[Sequence], rhs: Sequence[Sequence], zero):
+    """Solve ``matrix @ x = b`` exactly for every vector ``b`` in ``rhs``.
 
-    Returns a solution with free variables set to ``zero``, or None if the
-    system is inconsistent.  ``matrix`` is m x n (rows of length n).
+    One elimination serves all right-hand sides.  Returns one solution per
+    ``b``, with free variables set to ``zero``, or None where the system is
+    inconsistent.  ``matrix`` is m x n (rows of length n); each ``b`` has
+    length m.
     """
     m = len(matrix)
     n = len(matrix[0]) if m else 0
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    aug = [list(row) + [b[r] for b in rhs] for r, row in enumerate(matrix)]
     pivots: list[tuple[int, int]] = []
     row = 0
     for col in range(n):
@@ -40,13 +42,16 @@ def solve_exact(matrix: Sequence[Sequence], rhs: Sequence, zero):
         row += 1
         if row == m:
             break
-    for r in range(row, m):
-        if aug[r][n]:
-            return None
-    x = [zero] * n
-    for r, c in pivots:
-        x[c] = aug[r][n]
-    return x
+    solutions = []
+    for t in range(n, n + len(rhs)):
+        if any(aug[r][t] for r in range(row, m)):
+            solutions.append(None)
+            continue
+        x = [zero] * n
+        for r, c in pivots:
+            x[c] = aug[r][t]
+        solutions.append(x)
+    return solutions
 
 
 class RowSpan:

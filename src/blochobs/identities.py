@@ -20,9 +20,9 @@ from math import factorial
 
 import numpy as np
 
-from .exactlinalg import RowSpan, solve_exact
+from .exactlinalg import RowSpan
 from .polynomials import CRational, Poly, X1, X2, X3, monomial_basis
-from .representation import apply_field, poly_to_vec, weight_ladder
+from .representation import apply_field, coordinates, poly_to_vec, weight_ladder
 
 
 @dataclass(frozen=True)
@@ -129,36 +129,42 @@ def casimir_normalizer(n: int) -> Fraction:
     return c
 
 
+def _congruence(T, A, scale: Fraction) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact real matrix scale * sym(T^T A T), for T of shape k x m.
+
+    With q_a = sum_i T[a][i] p_i, the form sum_ab A[a][b] q_a q_b equals
+    sum_ij (T^T A T)[i][j] p_i p_j.
+    """
+    k, m = len(T), len(T[0])
+    AT = [
+        [sum((A[a][b] * T[b][j] for b in range(k) if A[a][b]), CRational()) for j in range(m)]
+        for a in range(k)
+    ]
+    M = [
+        [sum((T[a][i] * AT[a][j] for a in range(k)), CRational()) for j in range(m)]
+        for i in range(m)
+    ]
+    half = Fraction(scale) / 2
+    coeffs = [[(M[i][j] + M[j][i]) * half for j in range(m)] for i in range(m)]
+    if any(c.im for row in coeffs for c in row):
+        raise AssertionError("quadratic form has a nonzero imaginary part")
+    return tuple(tuple(c.re for c in row) for row in coeffs)
+
+
 def constant_quadratic_form(basis: HarmonicBasis) -> QuadraticIdentity:
     """Exact symmetric coefficients of ||x||^(2n) over products of the basis.
 
-    The expansion is found by an exact linear solve over the degree-2n
-    monomial coefficients; if the products are dependent the solver picks the
-    representative with vanishing free coordinates.  The result is verified by
-    exact re-expansion before it is returned.
+    With T the coordinates of the weight ladder in the basis and A the signed
+    anti-diagonal (-1)^(n+k) of q*, C = sym(T^T A T) / casimir_normalizer(n).
+    The degree-2n products of a basis of H_n are linearly independent, so C
+    is unique.  The result is verified by exact re-expansion before it is
+    returned.
     """
     n = basis.n
     m = 2 * n + 1
-    monos = monomial_basis(2 * n)
-    pairs = [(i, j) for i in range(m) for j in range(i, m)]
-    columns = []
-    for i, j in pairs:
-        prod = basis.polys[i] * basis.polys[j]
-        columns.append([c.re for c in poly_to_vec(prod, monos)])
-    target = Poly.norm_sq() ** n
-    rhs = [c.re for c in poly_to_vec(target, monos)]
-    matrix = [[columns[c][r] for c in range(len(pairs))] for r in range(len(monos))]
-    sol = solve_exact(matrix, rhs, Fraction(0))
-    if sol is None:
-        raise AssertionError("||x||^(2n) is not in the span of basis products")
-    coeffs = [[Fraction(0)] * m for _ in range(m)]
-    for (i, j), c in zip(pairs, sol):
-        if i == j:
-            coeffs[i][i] = c
-        else:
-            coeffs[i][j] = c / 2
-            coeffs[j][i] = c / 2
-    identity = QuadraticIdentity(basis, tuple(tuple(row) for row in coeffs))
+    T = coordinates(basis.polys, weight_ladder(n).vectors)
+    A = [[(-1) ** (n + a) if a + b == 2 * n else 0 for b in range(m)] for a in range(m)]
+    identity = QuadraticIdentity(basis, _congruence(T, A, 1 / casimir_normalizer(n)))
     if not verify_quadratic_identity(identity):
         raise AssertionError("exact verification of the quadratic identity failed")
     return identity
@@ -181,32 +187,8 @@ def rebase_quadratic_identity(
     """Re-express an identity in another basis via an exact change of basis."""
     if new_basis.n != identity.basis.n:
         raise ValueError("bases have different degrees")
-    n = new_basis.n
-    m = 2 * n + 1
-    monos = monomial_basis(n)
-    matrix = [
-        [poly_to_vec(new_basis.polys[j], monos)[r].re for j in range(m)]
-        for r in range(len(monos))
-    ]
-    rows = []
-    for p in identity.basis.polys:
-        rhs = [c.re for c in poly_to_vec(p, monos)]
-        s = solve_exact(matrix, rhs, Fraction(0))
-        if s is None:
-            raise AssertionError("change of basis is not solvable")
-        rows.append(s)
-    old = identity.coeffs
-    coeffs = [[Fraction(0)] * m for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            if not old[a][b]:
-                continue
-            for i in range(m):
-                if not rows[a][i]:
-                    continue
-                for j in range(m):
-                    coeffs[i][j] += old[a][b] * rows[a][i] * rows[b][j]
-    out = QuadraticIdentity(new_basis, tuple(tuple(r) for r in coeffs))
+    R = coordinates(new_basis.polys, identity.basis.polys)
+    out = QuadraticIdentity(new_basis, _congruence(R, identity.coeffs, Fraction(1)))
     if not verify_quadratic_identity(out):
         raise AssertionError("rebased identity failed exact verification")
     return out

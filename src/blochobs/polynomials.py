@@ -366,11 +366,6 @@ class Poly:
         p._terms = {e: CRational(c.re) for e, c in self._terms.items() if c.re != 0}
         return p
 
-    def imag_part(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p._terms = {e: CRational(c.im) for e, c in self._terms.items() if c.im != 0}
-        return p
-
     def evaluate(self, point: Iterable[float]) -> complex:
         x1, x2, x3 = point
         total = 0j

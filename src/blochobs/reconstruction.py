@@ -37,11 +37,12 @@ from .ensemble import (
     rotate_states,
 )
 from .identities import HarmonicBasis, QuadraticIdentity, constant_quadratic_form
-from .polynomials import Poly
+from .polynomials import CRational, Poly
 from .representation import (
     KappaSignature,
     Word,
     apply_word,
+    coordinates,
     kappa_of_word,
     word_basis_search,
     xi,
@@ -183,9 +184,6 @@ class OutputSimulator:
             return float(np.dot(base, phi_eval(states)))
 
         return y
-
-    def y(self, taus, us, phi: Poly) -> float:
-        return self.output_fn(phi)(taus, us)
 
 
 _UNMIX = np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
@@ -453,10 +451,6 @@ class PointInverter:
     """
 
     def __init__(self, basis: HarmonicBasis):
-        from .exactlinalg import solve_exact
-        from .polynomials import CRational, monomial_basis
-        from .representation import poly_to_vec
-
         self.basis = basis
         self.n = basis.n
         n = basis.n
@@ -469,19 +463,9 @@ class PointInverter:
             x3 * w ** (n - 1),
             (x3 + x1.scale(CRational(0, 1))) ** n,
         )
-        monos = monomial_basis(n)
-        m = 2 * n + 1
-        matrix = [
-            [poly_to_vec(basis.polys[j], monos)[r] for j in range(m)]
-            for r in range(len(monos))
-        ]
-        rows = []
-        for q in triple:
-            sol = solve_exact(matrix, poly_to_vec(q, monos), CRational())
-            if sol is None:
-                raise AssertionError("triple polynomials not expressible in basis")
-            rows.append([c.to_complex() for c in sol])
-        self._transform = np.array(rows)
+        self._transform = np.array(
+            [[c.to_complex() for c in sol] for sol in coordinates(basis.polys, triple)]
+        )
         self._evaluators = [compile_phi(p) for p in basis.polys]
 
     def _forward(self, points: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ exact.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,7 +29,6 @@ FIELD_IDS = (F0, F1, F2)
 Word = tuple[int, ...]
 
 COMMUTATOR_DEGREE_CAP = 12
-WORD_LENGTH_FACTOR = 4  # word_basis_search gives up past 4n
 
 
 class KappaSignature(NamedTuple):
@@ -202,16 +200,6 @@ class OperatorExpr:
         return f"OperatorExpr<{self.text()}>"
 
 
-def word_operator(word: Iterable[int], coeff=1) -> OperatorExpr:
-    return OperatorExpr({tuple(word): coeff})
-
-
-def field_operator(field: int) -> OperatorExpr:
-    if field not in FIELD_IDS:
-        raise ValueError(f"unknown field id {field!r}")
-    return OperatorExpr({(field,): 1})
-
-
 def casimir() -> OperatorExpr:
     """f0^2 + f1^2 + f2^2."""
     return OperatorExpr({(0, 0): 1, (1, 1): 1, (2, 2): 1})
@@ -353,31 +341,42 @@ def poly_to_vec(p: Poly, basis_monomials: Sequence[Exponents]) -> list[CRational
     return vec
 
 
+def coordinates(
+    basis_polys: Sequence[Poly], targets: Sequence[Poly]
+) -> list[list[CRational]]:
+    """Exact coordinates of each target in the span of ``basis_polys``.
+
+    Row t holds c with ``targets[t] == sum_j c[j] * basis_polys[j]``; all
+    targets share one elimination.  Raises ValueError for a target outside
+    the span.
+    """
+    monos = sorted({e for p in (*basis_polys, *targets) for e in p.terms})
+    columns = [poly_to_vec(p, monos) for p in basis_polys]
+    rhs = [poly_to_vec(q, monos) for q in targets]
+    solutions = solve_exact(list(zip(*columns)), rhs, CRational())
+    for q, sol in zip(targets, solutions):
+        if sol is None:
+            raise ValueError(f"{q.text()} lies outside the span of the basis")
+    return solutions
+
+
 def harmonic_decompose(p: Poly) -> list[tuple[int, Poly]]:
     """Split homogeneous p as sum of ||x||^(2k) h_k with each h_k harmonic.
 
-    Solved as one exact linear system in the monomial basis, with columns
-    drawn from ladder bases of each harmonic layer.
+    The coordinates of p in the basis of ladder vectors of each harmonic
+    layer, times powers of ||x||^2, give the parts.
     """
     if p.is_zero:
         return []
     n = p.homogeneous_degree
     if n is None:
         raise ValueError("polynomial is not homogeneous")
-    monos = monomial_basis(n)
-    columns: list[list[CRational]] = []
     owners: list[tuple[int, Poly]] = []
     for k in range(n // 2 + 1):
         m = n - 2 * k
         layer = [Poly.constant(1)] if m == 0 else list(weight_ladder(m).vectors)
-        for q in layer:
-            columns.append(poly_to_vec(q.mul_norm_sq_power(k), monos))
-            owners.append((k, q))
-    matrix = [[columns[j][i] for j in range(len(columns))] for i in range(len(monos))]
-    rhs = poly_to_vec(p, monos)
-    sol = solve_exact(matrix, rhs, CRational())
-    if sol is None:
-        raise AssertionError("harmonic decomposition system is inconsistent")
+        owners.extend((k, q) for q in layer)
+    (sol,) = coordinates([q.mul_norm_sq_power(k) for k, q in owners], [p])
     parts: dict[int, Poly] = {}
     for coeff, (k, q) in zip(sol, owners):
         if coeff:
@@ -386,15 +385,19 @@ def harmonic_decompose(p: Poly) -> list[tuple[int, Poly]]:
 
 
 class WordBasisSearchError(RuntimeError):
-    """Search exceeded the word-length safety cap without a full basis."""
+    """The word images of phi stopped growing before spanning H_n."""
 
 
 def word_basis_search(phi: Poly) -> list[Word]:
     """Breadth-first words whose images of phi form a basis of H_n.
 
     Words are scanned by (length, lexicographic order with 0 < 1 < 2) and kept
-    greedily when the image extends the exact span.  Irreducibility makes the
-    search terminate; lengths past 4n raise.
+    greedily when the image extends the exact span.  Level L only tests
+    ``(i,) + w`` for words w kept at level L-1: a rejected w has its image in
+    the span of earlier kept images, so f_i of it lies in the span of images
+    of earlier words ``(i,) + u``.  This keeps the same words as scanning all
+    3^L words.  A level that keeps no word means the span has stalled, and
+    the search raises; irreducibility of H_n rules that out for valid phi.
     """
     if phi.is_zero:
         raise ValueError("phi must be nonzero")
@@ -407,21 +410,16 @@ def word_basis_search(phi: Poly) -> list[Word]:
     monos = monomial_basis(n)
     span = RowSpan()
     found: list[Word] = []
-    level: dict[Word, Poly] = {(): phi}
-    for length in range(0, WORD_LENGTH_FACTOR * n + 1):
-        if length > 0:
-            prev = level
-            level = {}
-            for word in itertools.product(FIELD_IDS, repeat=length):
-                level[word] = apply_field(word[0], prev[word[1:]])
-        for word in sorted(level):
-            img = level[word]
-            if img.is_zero:
-                continue
-            if span.add(poly_to_vec(img, monos)):
+    level: list[tuple[Word, Poly]] = [((), phi)]
+    while level:
+        kept = []
+        for word, img in level:
+            if not img.is_zero and span.add(poly_to_vec(img, monos)):
                 found.append(word)
                 if len(found) == target:
                     return found
+                kept.append((word, img))
+        level = [((i,) + w, apply_field(i, img)) for i in FIELD_IDS for w, img in kept]
     raise WordBasisSearchError(
-        f"no basis of H_{n} from words of length <= {WORD_LENGTH_FACTOR * n}"
+        f"word images of phi span only {len(found)} of the {target} dimensions of H_{n}"
     )

@@ -110,6 +110,17 @@ def test_simulate_bad_box_rejected(tmp_path):
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_simulate_seed_flag_rejected(tmp_path):
+    path = write_config(tmp_path, base_config())
+    args = ["simulate", "--config", path, "--out", str(tmp_path / "x.csv"), "--seed", "1"]
+    assert main(args) == 2
+
+
+def test_simulate_seed_key_rejected(tmp_path):
+    path = write_config(tmp_path, base_config(seed=1))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+
+
 def test_simulate_inharmonic_phi_rejected(tmp_path):
     cfg = base_config()
     cfg["phi"] = {"degree": 2, "coefficients": [[[2, 0, 0], 1.0]]}
@@ -250,6 +261,26 @@ def test_reconstruct_measured_cap_error(tmp_path):
 def test_reconstruct_unknown_reconstruction_key(tmp_path):
     cfg = reconstruct_config()
     cfg["reconstruction"] = {"bogus": 1}
+    path = write_config(tmp_path, cfg)
+    code = main(
+        ["reconstruct", "--config", path, "--mode", "oracle-psi", "--out",
+         str(tmp_path / "r.json")]
+    )
+    assert code == 2
+
+
+def test_reconstruct_seed_flag_rejected(tmp_path):
+    path = write_config(tmp_path, reconstruct_config())
+    code = main(
+        ["reconstruct", "--config", path, "--mode", "oracle-psi", "--out",
+         str(tmp_path / "r.json"), "--seed", "1"]
+    )
+    assert code == 2
+
+
+def test_reconstruct_seed_key_rejected(tmp_path):
+    cfg = reconstruct_config()
+    cfg["seed"] = 1
     path = write_config(tmp_path, cfg)
     code = main(
         ["reconstruct", "--config", path, "--mode", "oracle-psi", "--out",

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -19,7 +20,7 @@ from blochobs.identities import (
     verify_quadratic_identity,
 )
 from blochobs.polynomials import Poly, X1, X2, X3, monomial_basis
-from blochobs.representation import poly_to_vec, weight_ladder
+from blochobs.representation import apply_word, poly_to_vec, weight_ladder, word_basis_search
 
 
 def random_basis(n, seed):
@@ -127,6 +128,33 @@ def test_basis_independence(n):
         basis = random_basis(n, seed)
         identity = constant_quadratic_form(basis)
         assert verify_quadratic_identity(identity)
+
+
+def _coeffs_sha256(identity):
+    return hashlib.sha256(str(identity.coeffs).encode()).hexdigest()
+
+
+def test_quadratic_form_pinned_coeffs():
+    assert _coeffs_sha256(constant_quadratic_form(real_harmonic_basis(4))) == (
+        "6080d7d78e52620f7139b13a6299b3a45f388bc86d267050c08e994328677697"
+    )
+    phi = X1 * X2 * X3
+    words = HarmonicBasis(3, tuple(apply_word(w, phi) for w in word_basis_search(phi)))
+    assert _coeffs_sha256(constant_quadratic_form(words)) == (
+        "00bab9b63bd954a547183c93ac3c80516a1a0ce1fe4cc733e4a494f98194478e"
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_basis_products_independent(n):
+    """Rank (n+1)(2n+1) of the p_i p_j makes the symmetric C unique."""
+    polys = real_harmonic_basis(n).polys
+    monos = monomial_basis(2 * n)
+    span = RowSpan()
+    for i, p in enumerate(polys):
+        for q in polys[i:]:
+            span.add(poly_to_vec(p * q, monos))
+    assert span.rank == (n + 1) * (2 * n + 1)
 
 
 def test_rebase_quadratic_identity():

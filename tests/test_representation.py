@@ -18,6 +18,7 @@ from blochobs.representation import (
     casimir,
     check_ladder,
     commutator_check,
+    coordinates,
     e_minus,
     e_plus,
     harmonic_decompose,
@@ -252,6 +253,38 @@ def test_word_basis_search_x1x2():
     for w in words:
         assert span.add(poly_to_vec(apply_word(w, X1 * X2), monos))
     assert span.rank == 5
+
+
+def _word_texts(phi):
+    return ["".join(str(i) for i in w) for w in word_basis_search(phi)]
+
+
+def test_word_basis_search_pinned_words():
+    re6 = ((X1 + X2.scale(CRational(0, 1))) ** 6).real_part()
+    assert _word_texts(X1 * X2) == ["", "0", "1", "2", "12"]
+    assert _word_texts(X1 * X2 * X3) == ["", "0", "1", "2", "01", "02", "12"]
+    assert _word_texts(re6) == [
+        "", "0", "1", "2", "11", "12", "111", "112",
+        "1111", "1112", "11111", "11112", "111111",
+    ]
+
+
+def test_word_basis_search_pinned_random_n4():
+    rng = random.Random(4)
+    phi = Poly.zero()
+    for v in weight_ladder(4).vectors:
+        phi = phi + v.real_part().scale(rng.randint(-2, 2))
+    assert _word_texts(phi) == ["", "0", "1", "2", "00", "01", "02", "11", "12"]
+
+
+def test_coordinates_exact_and_outside_span():
+    basis = [X1 * X2, X1 * X1 - X2 * X2, X2 * X3]
+    (coords,) = coordinates(basis, [(X1 * X2).scale(3) - X2 * X3])
+    assert coords == [CRational(3), CRational(0), CRational(-1)]
+    with pytest.raises(ValueError):
+        coordinates(basis, [X1 * X3])
+    with pytest.raises(ValueError):
+        coordinates(basis, [X1 * X1])
 
 
 def test_word_basis_search_images_independent():
