@@ -67,10 +67,6 @@ class InconsistentValuesError(ValueError):
     """The supplied basis values match no point on the sphere."""
 
 
-def kappa_monomial(sig: KappaSignature, sigma: Sequence[float]) -> float:
-    return sigma[0] ** sig.k1 * sigma[1] ** sig.k2
-
-
 def _kappa_node_values(sig: KappaSignature, grid: ParameterGrid) -> np.ndarray:
     return grid.nodes[:, 0] ** sig.k1 * grid.nodes[:, 1] ** sig.k2
 
@@ -379,15 +375,15 @@ def _feature_basis(box: ParameterBox, D: int) -> FeatureBasis:
 
 def fit_psi(
     table: MomentTable, grid: ParameterGrid, i: int, D: int, ridge: float
-) -> np.ndarray:
-    """Evaluate the fitted expansion of psi_i on the grid nodes."""
+) -> tuple[np.ndarray, float]:
+    """The fitted expansion of psi_i on the grid nodes, and its fit residual."""
     fb = _feature_basis(grid.box, D)
     try:
         raw = np.array([table.entries[(i, a, b)] for a, b in fb.pairs])
     except KeyError as exc:
         raise ValueError(f"moment table does not cover index {i} up to D={D}") from exc
     w = fb.solve(raw, ridge)
-    return fb.raw_values(grid.nodes) @ w
+    return fb.raw_values(grid.nodes) @ w, fb.fit_residual(w, raw)
 
 
 # --- pointwise recovery -----------------------------------------------------
@@ -416,9 +412,7 @@ def recover_density(
     peak = float(rho.max()) if rho.size else 0.0
     if peak == 0.0:
         return Density(rho), list(range(grid.size))
-    floor = rho_floor * peak
-    undefined = [j for j in range(grid.size) if rho[j] < floor]
-    return Density(rho), undefined
+    return Density(rho), np.flatnonzero(rho < rho_floor * peak).tolist()
 
 
 def recover_harmonic_values(
@@ -450,6 +444,10 @@ class PointInverter:
     vanish.
     """
 
+    # Columns per block: keeps the candidate and forward-evaluation
+    # temporaries small next to the arrays the pipeline already holds.
+    _BLOCK = 512
+
     def __init__(self, basis: HarmonicBasis):
         self.basis = basis
         self.n = basis.n
@@ -468,69 +466,88 @@ class PointInverter:
         )
         self._evaluators = [compile_phi(p) for p in basis.polys]
 
-    def _forward(self, points: np.ndarray) -> np.ndarray:
-        return np.stack([ev(points) for ev in self._evaluators])
+    def _residual(self, points: np.ndarray, values: np.ndarray) -> np.ndarray:
+        res = np.zeros(points.shape[0])
+        for ev, row in zip(self._evaluators, values):
+            np.maximum(res, np.abs(ev(points) - row), out=res)
+        return res
+
+    def _candidates(self, values: np.ndarray):
+        """Candidate slots in ranking order, each (points (N, 3), usable mask):
+        both poles, always usable, then one slot per n-th root.  Near the axis
+        the first two transformed values degenerate and the root construction
+        loses the vertical component; the pole snap stays within the distance
+        to the axis."""
+        n = self.n
+        c1, c2 = self._transform[:2].real @ values + 1j * (self._transform[:2].imag @ values)
+        for x3 in (1.0, -1.0):
+            yield np.tile([0.0, 0.0, x3], (values.shape[1], 1)), True
+        has_root = np.abs(c1) > 1e-15
+        radius = np.abs(c1) ** (1.0 / n)
+        base_angle = np.arctan2(c1.imag, c1.real) / n
+        for mth in range(n):
+            ang = base_angle + 2.0 * math.pi * mth / n
+            w = radius * np.cos(ang) + 1j * (radius * np.sin(ang))
+            # Where c1 vanishes the division is undefined; has_root masks it.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cand = np.stack([w.real, w.imag, (c2 * w / c1).real], axis=1)
+                norm = np.sqrt(np.sum(cand * cand, axis=1))
+                points = cand / norm[:, None]
+            yield points, has_root & (0.5 < norm) & (norm < 2.0)
+
+    def _rank(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Best candidate and its residual per column, slot by slot against a
+        running best with a strict '<', so a tie keeps the earlier slot."""
+        slots = self._candidates(values)
+        best, _ = next(slots)
+        best_res = self._residual(best, values)
+        for points, usable in slots:
+            res = self._residual(points, values)
+            better = usable & (res < best_res)
+            best[better] = points[better]
+            best_res[better] = res[better]
+        return best, best_res
 
     def invert_with_residual(
-        self, values: Sequence[float], consistency_tol: float = 1e-5
-    ) -> tuple[np.ndarray, str, float]:
+        self, values: np.ndarray, consistency_tol: float = 1e-5
+    ) -> tuple[np.ndarray, str, np.ndarray]:
+        """Points (N, 3), ambiguity flag and forward residuals (N,) from a
+        (2n+1, N) array of basis values, one column per point.
+
+        Raises InconsistentValuesError naming the first column whose best
+        candidate misses its values by more than consistency_tol (relative
+        to the largest value when that exceeds 1).
+        """
         values = np.asarray(values, dtype=float)
-        n = self.n
-        c1, c2, _c3 = self._transform @ values
-        # Both poles are always candidates: near the axis the first two
-        # transformed values degenerate and the root construction loses the
-        # vertical component, while the pole snap stays within the distance
-        # to the axis.  The residual ranking picks whichever wins.
-        candidates: list[np.ndarray] = [
-            np.array([0.0, 0.0, 1.0]),
-            np.array([0.0, 0.0, -1.0]),
-        ]
-        if abs(c1) > 1e-15:
-            radius = abs(c1) ** (1.0 / n)
-            base_angle = math.atan2(c1.imag, c1.real) / n
-            for mth in range(n):
-                ang = base_angle + 2.0 * math.pi * mth / n
-                w = radius * complex(math.cos(ang), math.sin(ang))
-                x3 = (c2 * w / c1).real
-                cand = np.array([w.real, w.imag, x3])
-                norm = np.linalg.norm(cand)
-                if 0.5 < norm < 2.0:
-                    candidates.append(cand / norm)
-        pts = np.array(candidates)
-        residuals = np.max(np.abs(self._forward(pts) - values[:, None]), axis=0)
-        best = int(np.argmin(residuals))
-        scale = max(1.0, float(np.max(np.abs(values))))
-        if residuals[best] > consistency_tol * scale:
+        best = np.empty((values.shape[1], 3))
+        best_res = np.empty(values.shape[1])
+        for lo in range(0, values.shape[1], self._BLOCK):
+            cols = slice(lo, lo + self._BLOCK)
+            best[cols], best_res[cols] = self._rank(values[:, cols])
+        scale = np.maximum(1.0, np.max(np.abs(values), axis=0))
+        missed = np.flatnonzero(best_res > consistency_tol * scale)
+        if missed.size:
+            j = int(missed[0])
             raise InconsistentValuesError(
-                f"best candidate residual {residuals[best]:.3e} exceeds tolerance"
+                f"column {j}: best candidate residual {best_res[j]:.3e} exceeds tolerance"
             )
-        x = pts[best]
-        if n % 2 == 0:
-            return _canonical_representative(x), "antipodal-pair", float(residuals[best])
-        return x, "unique", float(residuals[best])
+        if self.n % 2 == 0:
+            return _canonical_representative(best), "antipodal-pair", best_res
+        return best, "unique", best_res
 
     def invert(self, values, consistency_tol: float = 1e-5):
-        x, flag, _ = self.invert_with_residual(values, consistency_tol)
-        return x, flag
+        """One point and the ambiguity flag from one value vector."""
+        x, flag, _ = self.invert_with_residual(
+            np.asarray(values, dtype=float)[:, None], consistency_tol
+        )
+        return x[0], flag
 
 
 def _canonical_representative(x: np.ndarray) -> np.ndarray:
-    if x[2] < 0:
-        return -x
-    if x[2] == 0:
-        if x[0] < 0:
-            return -x
-        if x[0] == 0 and x[1] < 0:
-            return -x
-    return x
-
-
-def invert_point(
-    values: Sequence[float], n: int, basis: HarmonicBasis, consistency_tol: float = 1e-5
-) -> tuple[np.ndarray, str]:
-    if basis.n != n:
-        raise ValueError("basis degree does not match n")
-    return PointInverter(basis).invert(values, consistency_tol)
+    """Per row, the one of x and -x whose first nonzero of (x3, x1, x2) is positive."""
+    x1, x2, x3 = x.T
+    flip = (x3 < 0) | ((x3 == 0) & ((x1 < 0) | ((x1 == 0) & (x2 < 0))))
+    return np.where(flip[:, None], -x, x)
 
 
 def _grid_neighbors(grid: ParameterGrid, j: int) -> list[int]:
@@ -640,19 +657,11 @@ def reconstruct(
         fb = _feature_basis(grid.box, config.D)
         diagnostics["gram_condition"] = fb.gram_condition()
         diagnostics["gram_min_eigenvalue"] = fb.gram_min_eigenvalue()
-        if diagnostics["gram_min_eigenvalue"] < -1e-12:
-            raise StageError(
-                "moments", AssertionError("feature Gram matrix is not PSD")
-            )
-        rows = []
-        residuals = []
-        for i in range(len(words)):
-            raw = np.array([table.entries[(i, a, b)] for a, b in fb.pairs])
-            w = fb.solve(raw, config.ridge)
-            rows.append(fb.raw_values(grid.nodes) @ w)
-            residuals.append(fb.fit_residual(w, raw))
+        rows, residuals = zip(
+            *(fit_psi(table, grid, i, config.D, config.ridge) for i in range(len(words)))
+        )
         psi = PsiSamples(np.array(rows), table.provenance)
-        diagnostics["fit_residuals"] = residuals
+        diagnostics["fit_residuals"] = list(residuals)
 
     density, undefined = _stage(
         "density", recover_density, psi, identity, kappas, grid, config.rho_floor
@@ -665,28 +674,17 @@ def reconstruct(
 
     defined = np.ones(grid.size, dtype=bool)
     defined[list(undefined)] = False
-    C = np.array([[float(c) for c in row] for row in identity.coeffs])
+    states = np.full((grid.size, 3), np.nan)
+    diagnostics["identity_max_residual"] = float("nan")
+    diagnostics["inversion_max_residual"] = 0.0
     if defined.any():
+        C = np.array([[float(c) for c in row] for row in identity.coeffs])
         q = np.einsum("ij,in,jn->n", C, values[:, defined], values[:, defined])
         diagnostics["identity_max_residual"] = float(np.max(np.abs(q - 1.0)))
-    else:
-        diagnostics["identity_max_residual"] = float("nan")
-
-    inverter = PointInverter(identity.basis)
-    states = np.full((grid.size, 3), np.nan)
-    worst_res = 0.0
-
-    def _invert_all():
-        nonlocal worst_res
-        for j in range(grid.size):
-            if not defined[j]:
-                continue
-            x, _, res = inverter.invert_with_residual(values[:, j])
-            states[j] = x
-            worst_res = max(worst_res, res)
-
-    _stage("point-inversion", _invert_all)
-    diagnostics["inversion_max_residual"] = worst_res
+        inverter = PointInverter(identity.basis).invert_with_residual
+        points, _, residuals = _stage("point-inversion", inverter, values[:, defined])
+        states[defined] = points
+        diagnostics["inversion_max_residual"] = float(residuals.max())
 
     if n % 2 == 0:
         stitched, components = _stage("stitch", stitch_signs, states, defined, grid)

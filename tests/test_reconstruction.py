@@ -30,8 +30,6 @@ from blochobs.reconstruction import (
     WordTooLongError,
     _feature_basis,
     fit_psi,
-    invert_point,
-    kappa_monomial,
     measured_moment_table,
     measured_moments,
     oracle_moments,
@@ -42,7 +40,6 @@ from blochobs.reconstruction import (
     stitch_signs,
 )
 from blochobs.representation import (
-    KappaSignature,
     apply_word,
     kappa_of_word,
     word_basis_search,
@@ -56,12 +53,6 @@ def smooth_truth(grid, widths=(0.6, 0.6)):
     profile = angles_profile(grid, (0.8, 0.5, 0.3), (0.2, 0.9, -0.4))
     density = gaussian_density(grid, (0.5, 1.0), widths)
     return profile, density
-
-
-def test_kappa_monomial():
-    assert kappa_monomial(KappaSignature(1, 2), (2.0, 3.0)) == 18.0
-    assert kappa_monomial(KappaSignature(0, 0), (5.0, 7.0)) == 1.0
-    assert kappa_monomial(KappaSignature(0, 4), (5.0, 2.0)) == 16.0
 
 
 def test_oracle_moments_empty_word_is_y0():
@@ -185,7 +176,7 @@ def test_fit_psi_constant_exact():
         for a, b in fb.pairs
     }
     table = MomentTable(entries, 2, "oracle")
-    samples = fit_psi(table, grid, 0, 2, ridge=0.0)
+    samples, _ = fit_psi(table, grid, 0, 2, ridge=0.0)
     np.testing.assert_allclose(samples, np.ones(grid.size), atol=1e-10)
 
 
@@ -201,7 +192,7 @@ def test_fit_psi_feature_exact():
         for a, b in fb.pairs
     }
     table = MomentTable(entries, D, "oracle")
-    samples = fit_psi(table, grid, 0, D, ridge=0.0)
+    samples, _ = fit_psi(table, grid, 0, D, ridge=0.0)
     np.testing.assert_allclose(samples, target, atol=1e-9)
 
 
@@ -218,7 +209,7 @@ def test_fit_psi_sin_improves_with_degree():
             for a, b in fb.pairs
         }
         table = MomentTable(entries, D, "oracle")
-        samples = fit_psi(table, grid, 0, D, ridge=1e-12)
+        samples, _ = fit_psi(table, grid, 0, D, ridge=1e-12)
         err = math.sqrt(float(np.dot(grid.weights, (samples - target) ** 2)))
         errors.append(err)
     assert errors[0] > errors[1] > errors[2]
@@ -322,7 +313,7 @@ def test_recover_harmonic_values_roundtrip():
 
 def test_invert_point_n1_chart():
     basis = example_basis(1)
-    x, flag = invert_point((0.6, 0.0, 0.8), 1, basis)
+    x, flag = PointInverter(basis).invert((0.6, 0.0, 0.8))
     np.testing.assert_allclose(x, [0.6, 0.0, 0.8], atol=1e-12)
     assert flag == "unique"
 
@@ -332,7 +323,7 @@ def test_invert_point_n2_axis():
     vals_north = [float(p.evaluate((0, 0, 1)).real) for p in basis.polys]
     vals_south = [float(p.evaluate((0, 0, -1)).real) for p in basis.polys]
     assert vals_north == vals_south
-    x, flag = invert_point(vals_north, 2, basis)
+    x, flag = PointInverter(basis).invert(vals_north)
     np.testing.assert_allclose(x, [0, 0, 1], atol=1e-12)
     assert flag == "antipodal-pair"
 
@@ -386,6 +377,45 @@ def test_invert_point_rejects_garbage():
     inverter = PointInverter(basis)
     with pytest.raises(InconsistentValuesError):
         inverter.invert([5.0, -3.0, 2.0, 0.4, 0.1])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_invert_batch_mixed_points(n):
+    basis = real_harmonic_basis(n)
+    inverter = PointInverter(basis)
+    inverter._BLOCK = 5  # the batch below spans several column blocks
+    rng = np.random.default_rng(200 + n)
+    random_pts = rng.normal(size=(20, 3))
+    special = [[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]]
+    near = [[eps, eps, s] for eps in (1e-5, 1e-8) for s in (1.0, -1.0)]
+    pts = np.vstack([random_pts, special, near]).astype(float)
+    pts /= np.linalg.norm(pts, axis=1)[:, None]
+    # Near-axis points recover with error bounded by their offset.
+    tol = np.concatenate([np.full(len(random_pts) + len(special), 1e-9), [3e-5] * 2, [3e-8] * 2])
+    values = np.array([[float(p.evaluate(tuple(x)).real) for x in pts] for p in basis.polys])
+
+    got, flag, residuals = inverter.invert_with_residual(values)
+    assert got.shape == pts.shape and residuals.shape == (len(pts),)
+    direct = np.linalg.norm(got - pts, axis=1)
+    if n % 2 == 1:
+        assert flag == "unique"
+        assert np.all(direct <= tol)
+    else:
+        assert flag == "antipodal-pair"
+        assert np.all(np.minimum(direct, np.linalg.norm(got + pts, axis=1)) <= tol)
+        for x in got:  # canonical representative: first nonzero of x3, x1, x2 positive
+            lead = next(c for c in (x[2], x[0], x[1]) if c != 0)
+            assert lead > 0
+    # The per-column path agrees with the batch.
+    for j in range(len(pts)):
+        x, single_flag = inverter.invert(values[:, j])
+        assert single_flag == flag
+        np.testing.assert_allclose(x, got[j], atol=1e-12)
+
+    garbage = values.copy()
+    garbage[:, [7, 20]] = rng.uniform(-5.0, 5.0, size=(values.shape[0], 2))
+    with pytest.raises(InconsistentValuesError, match="column 7:"):
+        inverter.invert_with_residual(garbage)
 
 
 def test_stitch_signs_global_flip():
@@ -461,6 +491,32 @@ def test_reconstruct_oracle_moments_n1():
     den = math.sqrt(float(np.dot(grid.weights, density.values**2)))
     assert num / den <= 1e-2
     assert result.diagnostics["gram_condition"] > 0
+
+
+def test_reconstruct_oracle_moments_d8_improves_on_d6():
+    """The exact Gram-Schmidt certificate is the PD gate; the float smallest
+    eigenvalue of the raw Gram matrix, which roundoff makes negative at D=8,
+    is only a diagnostic."""
+    grid = make_grid(BOX, 16, 16)
+    profile, density = smooth_truth(grid)
+    errors = []
+    for D in (6, 8):
+        cfg = ReconstructionConfig("oracle-moments", D=D)
+        est = reconstruct(X3, grid, profile, density, cfg).density_est.values
+        errors.append(float(np.max(np.abs(est - density.values)) / np.max(density.values)))
+    assert errors[1] < errors[0]
+
+
+@pytest.mark.parametrize("phi", [X3, X1 * X2], ids=["x3", "x1x2"])
+def test_reconstruct_zero_density_all_undefined(phi):
+    grid = make_grid(BOX, 4, 4)
+    profile, _ = smooth_truth(grid)
+    result = reconstruct(phi, grid, profile, uniform_density(grid, 0.0), ReconstructionConfig())
+    assert result.undefined_nodes == tuple(range(16))
+    assert np.isnan(result.profile_est.states).all()
+    assert result.diagnostics["inversion_max_residual"] == 0.0
+    if phi.homogeneous_degree % 2 == 0:
+        assert result.diagnostics["stitch_components"] == 0
 
 
 def test_reconstruct_measured_moments_within_cap():
