@@ -57,7 +57,13 @@ def _require_keys(obj: dict, allowed: set[str], required: set[str], path: str) -
 def _number(obj, path: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, (int, float)):
         raise ConfigError(f"{path}: expected a number")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:  # an integer too large for a float
+        value = math.inf
+    if not math.isfinite(value):  # json parses NaN and Infinity
+        raise ConfigError(f"{path}: expected a finite number")
+    return value
 
 
 def _integer(obj, path: str) -> int:

@@ -98,6 +98,10 @@ class ReconstructionConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.D < 0 or self.ridge < 0 or self.rho_floor <= 0 or self.fd_step <= 0:
             raise ValueError("invalid reconstruction configuration")
+        if not all(map(math.isfinite, (self.ridge, self.rho_floor, self.fd_step))):
+            raise ValueError("ridge, rho_floor and fd_step must be finite")
+        if self.fd_word_cap < 0:
+            raise ValueError("fd_word_cap must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -167,6 +171,10 @@ class OutputSimulator:
     grid: ParameterGrid
     density: Density
 
+    # Node states per rotate_states call in output_tree: bounds what one
+    # tree level holds at a time while keeping the call count low.
+    _BLOCK = 4096
+
     def output_fn(self, phi: Poly) -> Callable[[Sequence[float], Sequence], float]:
         phi_eval = compile_phi(phi)
         base = self.grid.weights * self.density.values
@@ -181,46 +189,96 @@ class OutputSimulator:
 
         return y
 
+    def output_tree(
+        self, phi: Poly, segments: Sequence[tuple[float, Sequence[float]]], depth: int
+    ) -> list[np.ndarray]:
+        """y after every sequence of at most depth segments, each segment a
+        (tau, u) pair drawn from segments.  Entry k has shape
+        (len(segments),) * k and is indexed by the sequence of choices.
+
+        The states after a prefix are shared by every sequence extending it,
+        so the prefix tree is walked depth-first: each block of nodes gets its
+        children from one rotation per segment, and the children of at most
+        one block per level are alive.  Each y is the same quadrature as
+        output_fn's, one sequence at a time.
+        """
+        phi_eval = compile_phi(phi)
+        base = self.grid.weights * self.density.values
+        N = self.grid.size
+        B = len(segments)
+        per_block = max(1, self._BLOCK // N)
+        sigmas = np.tile(self.grid.nodes, (per_block, 1))
+        ys = [np.empty(B**k) for k in range(depth + 1)]
+        ys[0][0] = float(np.dot(base, phi_eval(self.profile.states)))
+
+        def descend(parents: np.ndarray, level: int, first: int) -> None:
+            # parents: (m * N, 3) states after the length-`level` prefixes
+            # numbered first .. first + m - 1 in base-B order.
+            m = parents.shape[0] // N
+            children = np.empty((m, B, N, 3))
+            for j, (tau, u) in enumerate(segments):
+                children[:, j] = rotate_states(parents, sigmas[: m * N], u, tau).reshape(m, N, 3)
+            children = children.reshape(m * B, N, 3)
+            out = ys[level + 1]
+            for c in range(m * B):
+                out[first * B + c] = float(np.dot(base, phi_eval(children[c])))
+            if level + 1 < depth:
+                for lo in range(0, m * B, per_block):
+                    block = children[lo : lo + per_block].reshape(-1, 3)
+                    descend(block, level + 1, first * B + lo)
+
+        if depth:
+            descend(self.profile.states, 0, 0)
+        return [y.reshape((B,) * k) for k, y in enumerate(ys)]
+
 
 _UNMIX = np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
 _CHOICES = ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0))
 
 
-def _mixed_central(y, us, h: float, n: int) -> float:
-    total = 0.0
-    for signs in product((-1.0, 1.0), repeat=n):
-        prod_sign = 1.0
-        for s in signs:
-            prod_sign *= s
-        total += prod_sign * y([s * h for s in signs], us)
-    return total / (2.0 * h) ** n
+def _mixed_central_differences(
+    sim: OutputSimulator, phi: Poly, max_length: int, h: float
+) -> list[np.ndarray]:
+    """Mixed central differences of y in the segment durations, for every
+    per-segment control choice; entry k has shape (3,) * k (entry 0 is y).
+
+    Each entry sums its sign patterns one after another in lexicographic
+    order, with -h before +h.
+    """
+    segments = [(s * h, u) for u in _CHOICES for s in (-1.0, 1.0)]
+    ys = sim.output_tree(phi, segments, max_length)
+    out = []
+    for k, y in enumerate(ys):
+        # axes (choice 1, sign 1, ..., choice k, sign k) -> choices, then signs
+        y = y.reshape((3, 2) * k).transpose(*range(0, 2 * k, 2), *range(1, 2 * k, 2))
+        total = np.zeros((3,) * k)
+        for signs in product((0, 1), repeat=k):
+            total += (-1.0) ** (k - sum(signs)) * y[(Ellipsis,) + signs]
+        out.append(total / (2.0 * h) ** k)
+    return out
 
 
 def measured_word_moments(
-    sim: OutputSimulator, phi: Poly, length: int, fd_step: float
-) -> np.ndarray:
-    """All moments of words with the given length, from output data alone.
+    sim: OutputSimulator, phi: Poly, max_length: int, fd_step: float
+) -> list[np.ndarray]:
+    """Moments of all words of each length 0..max_length, from output data
+    alone; entry k has shape (3,) * k and is indexed by the word.
 
     Mixed central differences in the segment durations estimate the mixed
     control-coefficient derivative for each per-segment control choice; the
     per-segment Vandermonde unmix then isolates sigma^kappa(alpha) f_alpha phi
     for every word alpha.  Richardson extrapolation in the step kills the h^2
-    error term.
+    error term.  One prefix tree per step size yields every length.
     """
-    y = sim.output_fn(phi)
-    if length == 0:
-        return np.array(y([], []))
-    shape = (3,) * length
-    d_h = np.empty(shape)
-    d_h2 = np.empty(shape)
-    for assignment in product(range(3), repeat=length):
-        us = [_CHOICES[c] for c in assignment]
-        d_h[assignment] = _mixed_central(y, us, fd_step, length)
-        d_h2[assignment] = _mixed_central(y, us, fd_step / 2.0, length)
-    mixed = (4.0 * d_h2 - d_h) / 3.0
-    for axis in range(length):
-        mixed = np.moveaxis(np.tensordot(_UNMIX, mixed, axes=(1, axis)), 0, axis)
-    return mixed
+    d_h = _mixed_central_differences(sim, phi, max_length, fd_step)
+    d_h2 = _mixed_central_differences(sim, phi, max_length, fd_step / 2.0)
+    moments = [d_h[0]]
+    for coarse, fine in zip(d_h[1:], d_h2[1:]):
+        mixed = (4.0 * fine - coarse) / 3.0
+        for axis in range(mixed.ndim):
+            mixed = np.moveaxis(np.tensordot(_UNMIX, mixed, axes=(1, axis)), 0, axis)
+        moments.append(mixed)
+    return moments
 
 
 def measured_moments(
@@ -236,8 +294,7 @@ def measured_moments(
         raise WordTooLongError(
             f"word {word} has length {len(word)} > cap {fd_word_cap}"
         )
-    moments = measured_word_moments(sim, phi, len(word), fd_step)
-    return float(moments[word]) if word else float(moments)
+    return float(measured_word_moments(sim, phi, len(word), fd_step)[len(word)][word])
 
 
 def measured_moment_table(
@@ -256,7 +313,7 @@ def measured_moment_table(
     """
     n = phi.homogeneous_degree
     lam = float(-n * (n + 1))
-    needed_lengths = set()
+    max_length = 0
     requests: dict[tuple[int, int, int], list[tuple[float, Word]]] = {}
     for i, base_word in enumerate(words):
         for a in range(D + 1):
@@ -271,19 +328,15 @@ def measured_moment_table(
                             f"> cap {fd_word_cap}"
                         )
                     combos.append((float(c.re), full))
-                    needed_lengths.add(len(full))
+                    max_length = max(max_length, len(full))
                 requests[(i, a, b)] = combos
-    by_length = {
-        length: measured_word_moments(sim, phi, length, fd_step)
-        for length in sorted(needed_lengths)
-    }
+    moments = measured_word_moments(sim, phi, max_length, fd_step)
     entries = {}
     for key, combos in requests.items():
         _, a, b = key
         total = 0.0
         for coeff, w in combos:
-            arr = by_length[len(w)]
-            total += coeff * (float(arr[w]) if w else float(arr))
+            total += coeff * float(moments[len(w)][w])
         entries[key] = total / lam ** (a + b)
     return MomentTable(entries, D, "measured")
 

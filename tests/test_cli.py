@@ -177,6 +177,30 @@ def test_equivalence_scaled_density(tmp_path):
     assert verdict["time"] == 0.0
 
 
+def test_equivalence_rejects_nan_tol(tmp_path):
+    """A NaN tolerance would compare false everywhere and call two clearly
+    different pairs equivalent."""
+    cfg = {
+        "box": {"a1": 0.0, "b1": 1.0, "a2": 0.5, "b2": 1.5},
+        "grid": {"n1": 3, "n2": 3},
+        "phi": {"degree": 1, "named": "x3"},
+        "pair_a": {
+            "profile": {"kind": "constant", "x": [0.0, 0.0, 1.0]},
+            "density": {"kind": "uniform", "value": 1.0},
+        },
+        "pair_b": {
+            "profile": {"kind": "constant", "x": [0.0, 0.6, 0.8]},
+            "density": {"kind": "uniform", "value": 1.0},
+        },
+        "trials": 3,
+        "tol": float("nan"),
+    }
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "verdict.json"
+    assert main(["equivalence", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def reconstruct_config():
     return {
         "box": {"a1": 0.0, "b1": 1.0, "a2": 0.5, "b2": 1.5},
@@ -256,6 +280,28 @@ def test_reconstruct_measured_cap_error(tmp_path):
          str(tmp_path / "r.json")]
     )
     assert code == 1
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("fd_step", float("nan")),
+        ("fd_step", float("inf")),
+        ("ridge", float("inf")),
+        ("rho_floor", float("nan")),
+        ("fd_step", 10**400),
+        ("fd_word_cap", -1),
+    ],
+    ids=["fd_step-nan", "fd_step-inf", "ridge-inf", "rho_floor-nan", "fd_step-huge-int", "cap-negative"],
+)
+def test_reconstruct_rejects_non_finite_and_negative_cap(tmp_path, key, value):
+    cfg = reconstruct_config()
+    cfg["reconstruction"] = {key: value}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "r.json"
+    code = main(["reconstruct", "--config", path, "--mode", "measured-moments", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
 
 
 def test_reconstruct_unknown_reconstruction_key(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -19,8 +20,11 @@ from blochobs.identities import (
     example_basis,
     real_harmonic_basis,
 )
+from blochobs import reconstruction
 from blochobs.polynomials import Poly, X1, X2, X3
 from blochobs.reconstruction import (
+    _CHOICES,
+    _UNMIX,
     InconsistentValuesError,
     MomentTable,
     OutputSimulator,
@@ -32,6 +36,7 @@ from blochobs.reconstruction import (
     fit_psi,
     measured_moment_table,
     measured_moments,
+    measured_word_moments,
     oracle_moments,
     oracle_psi_samples,
     reconstruct,
@@ -143,6 +148,73 @@ def test_measured_moments_word_cap():
     sim = OutputSimulator(profile, grid, density)
     with pytest.raises(WordTooLongError):
         measured_moments(sim, X3, (1, 2, 1, 2, 1), fd_step=1e-2)
+
+
+def _sequential_word_moments(sim, phi, length, fd_step):
+    """Reference: one output_fn call per (control choice, sign) pattern, then
+    the same signed sum, Richardson step and unmix."""
+    y = sim.output_fn(phi)
+    if length == 0:
+        return np.array(y([], []))
+
+    def mixed_central(us, h):
+        total = 0.0
+        for signs in product((-1.0, 1.0), repeat=length):
+            prod_sign = 1.0
+            for s in signs:
+                prod_sign *= s
+            total += prod_sign * y([s * h for s in signs], us)
+        return total / (2.0 * h) ** length
+
+    d_h = np.empty((3,) * length)
+    d_h2 = np.empty((3,) * length)
+    for assignment in product(range(3), repeat=length):
+        us = [_CHOICES[c] for c in assignment]
+        d_h[assignment] = mixed_central(us, fd_step)
+        d_h2[assignment] = mixed_central(us, fd_step / 2.0)
+    mixed = (4.0 * d_h2 - d_h) / 3.0
+    for axis in range(length):
+        mixed = np.moveaxis(np.tensordot(_UNMIX, mixed, axes=(1, axis)), 0, axis)
+    return mixed
+
+
+@pytest.mark.parametrize("phi", [X3, X1 * X2], ids=["x3", "x1x2"])
+def test_measured_word_moments_match_sequential_reference(phi, monkeypatch):
+    """The prefix-tree walk gives bit-identical moments, also when its
+    blocks (here 4 nodes of 9) split a tree level."""
+    grid = make_grid(BOX, 3, 3)
+    truth = smooth_truth(grid)
+    sim = OutputSimulator(truth[0], grid, truth[1])
+    reference = [_sequential_word_moments(sim, phi, k, 1e-2) for k in range(5)]
+    for block in (OutputSimulator._BLOCK, 40):
+        monkeypatch.setattr(OutputSimulator, "_BLOCK", block)
+        moments = measured_word_moments(sim, phi, 4, 1e-2)
+        assert len(moments) == 5
+        for k in range(5):
+            assert moments[k].shape == (3,) * k
+            assert np.array_equal(moments[k], reference[k])
+
+
+def test_measured_word_moments_rotate_each_tree_edge_once(monkeypatch):
+    """Lengths 0..4 take under a thousand block rotations even with 4-node
+    blocks, each tree edge once per step size, where one call per pattern
+    and segment needs 2 * 4 * 6**4 = 10368 calls for length 4 alone."""
+    grid = make_grid(BOX, 3, 3)
+    truth = smooth_truth(grid)
+    sim = OutputSimulator(truth[0], grid, truth[1])
+    rows = []
+    rotate = reconstruction.rotate_states
+
+    def counting(states, *args):
+        rows.append(states.shape[0])
+        return rotate(states, *args)
+
+    monkeypatch.setattr(reconstruction, "rotate_states", counting)
+    monkeypatch.setattr(OutputSimulator, "_BLOCK", 40)
+    measured_word_moments(sim, X3, 4, 1e-2)
+    assert len(rows) < 1000
+    assert max(rows) <= 40
+    assert sum(rows) == 2 * grid.size * sum(6**k for k in range(1, 5))
 
 
 def test_measured_moment_table_low_order():
@@ -538,6 +610,23 @@ def test_reconstruct_measured_moments_within_cap():
     )
 
 
+def test_reconstruct_measured_moments_word_length_five():
+    """D = 1 for x3 needs zeta applied to the empty word: length 5.  On the
+    smooth truth the density matches oracle-moments at D = 1."""
+    grid = make_grid(BOX, 8, 8)
+    profile, density = smooth_truth(grid)
+    measured = reconstruct(
+        X3, grid, profile, density,
+        ReconstructionConfig("measured-moments", D=1, fd_word_cap=5),
+    )
+    oracle = reconstruct(
+        X3, grid, profile, density, ReconstructionConfig("oracle-moments", D=1)
+    )
+    ref = oracle.density_est.values
+    gap = np.max(np.abs(measured.density_est.values - ref)) / np.max(np.abs(ref))
+    assert gap <= 1e-4
+
+
 def test_reconstruct_measured_mode_cap_error():
     grid = make_grid(BOX, 3, 3)
     profile, density = smooth_truth(grid)
@@ -578,3 +667,20 @@ def test_reconstruction_config_validation():
         ReconstructionConfig(mode="bogus")
     with pytest.raises(ValueError):
         ReconstructionConfig(rho_floor=0.0)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"fd_step": math.nan},
+        {"fd_step": math.inf},
+        {"ridge": math.nan},
+        {"ridge": math.inf},
+        {"rho_floor": math.nan},
+        {"rho_floor": math.inf},
+        {"fd_word_cap": -1},
+    ],
+)
+def test_reconstruction_config_rejects_non_finite_and_negative_cap(kwargs):
+    with pytest.raises(ValueError):
+        ReconstructionConfig(mode="measured-moments", **kwargs)
