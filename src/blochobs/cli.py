@@ -360,8 +360,14 @@ def cmd_equivalence(args) -> int:
             )
         )
     trials = _integer(cfg["trials"], "config.trials")
+    if trials < 1:
+        raise ConfigError("config.trials: must be at least 1")
     tol = _number(cfg["tol"], "config.tol")
+    if tol < 0:
+        raise ConfigError("config.tol: must be nonnegative")
     dt = _number(cfg.get("dt", 0.05), "config.dt")
+    if dt <= 0:
+        raise ConfigError("config.dt: must be positive")
     seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 0), "config.seed")
     verdict = ens.output_equiv_test(pairs[0], pairs[1], grid, phi, trials, seed, tol, dt)
     payload = {

@@ -201,6 +201,50 @@ def test_equivalence_rejects_nan_tol(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [
+        {"kind": "table", "states": [[0.0, 0.0, 1.0]] * 15 + [[float("nan"), 0.0, 1.0]]},
+        {"kind": "constant", "x": [0, 0, 0]},
+    ],
+    ids=["table-nan-row", "constant-zero"],
+)
+def test_simulate_rejects_nan_and_zero_profiles(tmp_path, profile):
+    """Both used to exit 0 with an all-NaN trace."""
+    path = write_config(tmp_path, base_config(profile=profile))
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("trials", 0), ("trials", -2), ("tol", -1e-12), ("dt", 0.0), ("dt", -0.05)],
+    ids=["trials-zero", "trials-negative", "tol-negative", "dt-zero", "dt-negative"],
+)
+def test_equivalence_rejects_meaningless_settings(tmp_path, key, value):
+    """trials < 1 gave a vacuous verdict, tol < 0 distinguished identical
+    pairs, and dt <= 0 exited 1 where simulate exits 2."""
+    same = {
+        "profile": {"kind": "constant", "x": [0.0, 0.6, 0.8]},
+        "density": {"kind": "uniform", "value": 1.0},
+    }
+    cfg = {
+        "box": {"a1": 0.0, "b1": 1.0, "a2": 0.5, "b2": 1.5},
+        "grid": {"n1": 3, "n2": 3},
+        "phi": {"degree": 1, "named": "x3"},
+        "pair_a": same,
+        "pair_b": same,
+        "trials": 3,
+        "tol": 1e-12,
+        key: value,
+    }
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "verdict.json"
+    assert main(["equivalence", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def reconstruct_config():
     return {
         "box": {"a1": 0.0, "b1": 1.0, "a2": 0.5, "b2": 1.5},

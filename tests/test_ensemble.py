@@ -3,22 +3,28 @@ import math
 import numpy as np
 import pytest
 
+from blochobs import ensemble
 from blochobs.ensemble import (
     ControlSchedule,
     ParameterBox,
     Profile,
     angles_profile,
+    compile_phi,
     constant_profile,
     evolve_profile,
     gaussian_density,
     make_grid,
     output,
     output_equiv_test,
+    rotate_states,
     rotation_step,
     simulate,
     table_density,
+    table_profile,
     uniform_density,
     validate_profile,
+    write_profile_csv,
+    write_trace_csv,
 )
 from blochobs.polynomials import X1, X2, X3
 
@@ -279,8 +285,196 @@ def test_validate_profile():
 
 
 def test_compile_phi_rejects_complex():
-    from blochobs.ensemble import compile_phi
     from blochobs.polynomials import CRational
 
     with pytest.raises(ValueError):
         compile_phi(X1.scale(CRational(0, 1)))
+
+
+def test_table_profile_rejects_nan_row():
+    grid = make_grid(BOX, 2, 2)
+    rows = [[0.0, 0.0, 1.0]] * 3 + [[float("nan"), 0.0, 1.0]]
+    with pytest.raises(ValueError):
+        table_profile(grid, rows)
+
+
+def test_validate_profile_rejects_nan_states():
+    grid = make_grid(BOX, 2, 2)
+    states = constant_profile(grid, (0, 0, 1)).states.copy()
+    states[1, 0] = np.nan
+    with pytest.raises(ValueError):
+        validate_profile(Profile(states))
+
+
+@pytest.mark.parametrize(
+    "x",
+    [(0.0, 0.0, 0.0), (np.nan, 0.0, 1.0), (np.inf, 0.0, 1.0)],
+    ids=["zero", "nan", "inf"],
+)
+def test_constant_profile_rejects_zero_and_non_finite(x):
+    with pytest.raises(ValueError):
+        constant_profile(make_grid(BOX, 2, 2), x)
+
+
+@pytest.mark.parametrize(
+    "trials, tol",
+    [(0, 1e-12), (-3, 1e-12), (2, -1e-12)],
+    ids=["zero-trials", "negative-trials", "negative-tol"],
+)
+def test_equivalence_rejects_meaningless_settings(trials, tol):
+    grid = make_grid(BOX, 2, 2)
+    pair = (constant_profile(grid, (0, 0, 1)), uniform_density(grid))
+    with pytest.raises(ValueError):
+        output_equiv_test(pair, pair, grid, X3, trials=trials, seed=0, tol=tol)
+
+
+def _simulate_reference(profile, grid, density, schedule, phi, dt):
+    """Per-sample reference: rotate from the segment start at every sample."""
+    total = schedule.total_duration
+    slack = 1e-12 * max(1.0, total)
+    boundaries = [0.0]
+    for tau, _, _ in schedule.segments:
+        boundaries.append(boundaries[-1] + tau)
+    samples = set(boundaries)
+    k = 0
+    while k * dt <= total + slack:
+        samples.add(min(k * dt, total))
+        k += 1
+    times = sorted(samples)
+    phi_eval = compile_phi(phi)
+    base = grid.weights * density.values
+    values = []
+    states = profile.states
+    seg = 0
+    for t in times:
+        while seg < len(schedule.segments) and t > boundaries[seg + 1] + slack:
+            tau, u1, u2 = schedule.segments[seg]
+            states = rotate_states(states, grid.nodes, (u1, u2), tau)
+            seg += 1
+        if seg < len(schedule.segments) and t > boundaries[seg]:
+            _, u1, u2 = schedule.segments[seg]
+            current = rotate_states(states, grid.nodes, (u1, u2), t - boundaries[seg])
+        else:
+            current = states
+        values.append(float(np.dot(base, phi_eval(current))))
+    return np.array(times), np.array(values)
+
+
+# sigma1 = 0 is a node of the 3-point rule on [-1, 1], so a zero-control
+# segment there has omega = 0: the norm guard and the series branch both run.
+SYM_BOX = ParameterBox(-1.0, 1.0, 0.5, 1.5)
+
+
+@pytest.mark.parametrize(
+    "schedule, dt, phi",
+    [
+        # the sample at 0.3 lies about 1e-10 after the boundary: series branch
+        (((0.3 - 1e-10, 1.0, -0.5), (0.4, -0.7, 0.2)), 0.1, X3),
+        (((0.25, 0.8, 0.3), (0.3, 0.0, 0.0), (0.2, -1.1, 0.6)), 0.05, X3),
+        (((0.3, 0.5, 0.5), (0.2, -0.4, 1.3)), 10.0, X3),
+        (((0.4, 1.2, -0.3), (0.3, -0.8, 0.9), (0.15, 0.0, 0.0)), 0.03, X1 * X2 * X3),
+        ((), 0.1, X3),
+    ],
+    ids=["near-boundary", "zero-control", "dt-beyond-duration", "x1x2x3", "empty"],
+)
+def test_simulate_matches_per_sample_reference(schedule, dt, phi):
+    grid = make_grid(SYM_BOX, 3, 4)
+    assert np.any(grid.nodes[:, 0] == 0.0)
+    profile = angles_profile(grid, (0.7, 0.2, 0.1), (0.0, 0.9, 0.4))
+    density = gaussian_density(grid, (0.1, 1.0), (0.6, 0.6))
+    schedule = ControlSchedule(schedule)
+    times, values = _simulate_reference(profile, grid, density, schedule, phi, dt)
+    trace = simulate(profile, grid, density, schedule, phi, dt)
+    assert np.array_equal(trace.times, times)
+    assert np.array_equal(trace.values, values)
+
+
+def _rotate_one_expression(states, omega, tau):
+    """The rotation formula as a single expression, kept as the bit reference."""
+    norms = np.linalg.norm(omega, axis=1)
+    angles = norms * tau
+    axis = omega / np.where(norms == 0.0, 1.0, norms)[:, None]
+    cross = np.cross(axis, states)
+    dot = np.einsum("ij,ij->i", axis, states)
+    cos = np.cos(angles)[:, None]
+    sin = np.sin(angles)[:, None]
+    rotated = states * cos + cross * sin + axis * (dot * (1.0 - cos.ravel()))[:, None]
+    small = np.abs(angles) < ensemble._SMALL_ANGLE
+    wxs = np.cross(omega, states)
+    series = states + tau * wxs + 0.5 * tau * tau * np.cross(omega, wxs)
+    return np.where(small[:, None], series, rotated)
+
+
+@pytest.mark.parametrize("tau", [0.7, -0.3, 1e-10, 0.0])
+def test_rotate_states_matches_one_expression_formula(tau):
+    grid = make_grid(SYM_BOX, 5, 4)
+    states = angles_profile(grid, (0.7, 0.2, 0.1), (0.0, 0.9, 0.4)).states
+    for u in ((0.8, -1.3), (0.0, 0.0)):
+        expected = _rotate_one_expression(states, ensemble.segment_axis(grid.nodes, u), tau)
+        assert np.array_equal(rotate_states(states, grid.nodes, u, tau), expected)
+
+
+def test_evolve_profile_matches_successive_rotations():
+    grid = make_grid(SYM_BOX, 3, 4)
+    profile = angles_profile(grid, (0.7, 0.2, 0.1), (0.0, 0.9, 0.4))
+    schedule = ControlSchedule(((0.25, 0.8, 0.3), (0.3, 0.0, 0.0), (1e-9, -1.1, 0.6)))
+    states = profile.states
+    for tau, u1, u2 in schedule.segments:
+        states = rotate_states(states, grid.nodes, (u1, u2), tau)
+    assert np.array_equal(evolve_profile(profile, grid, schedule).states, states)
+
+
+def test_simulate_sets_up_each_segment_once(monkeypatch):
+    """One rotation set-up per segment, not one per sample: 5 segments and
+    about 60 samples give 5 set-ups."""
+    grid = make_grid(BOX, 3, 3)
+    profile = angles_profile(grid, (0.4, 0.3, 0.2), (0.1, 0.5, -0.3))
+    schedule = ControlSchedule(
+        ((0.2, 1.0, 0.0), (0.5, 0.0, 1.0), (0.1, -0.6, 0.4), (0.3, 0.0, 0.0), (0.4, 0.9, -1.2))
+    )
+    setups = []
+    rotation = ensemble._rotation
+
+    def counting(states, omega):
+        setups.append(states.shape[0])
+        return rotation(states, omega)
+
+    monkeypatch.setattr(ensemble, "_rotation", counting)
+    trace = simulate(profile, grid, uniform_density(grid), schedule, X3, dt=0.025)
+    assert len(trace.times) > 60
+    assert setups == [grid.size] * len(schedule.segments)
+
+
+def _write_csv_per_row(path, header, rows):
+    """Per-row writer formatting numpy scalars, kept as the byte reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header)
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+@pytest.mark.parametrize("block", [None, 4], ids=["default-block", "block-4"])
+def test_csv_writers_match_per_row_reference(tmp_path, monkeypatch, block):
+    """Blocked writers give the bytes of the per-row writer; 7 x 5 nodes are
+    not a multiple of either block size."""
+    if block is not None:
+        monkeypatch.setattr(ensemble, "_CSV_BLOCK", block)
+    grid = make_grid(BOX, 7, 5)
+    assert grid.size % ensemble._CSV_BLOCK
+    profile = angles_profile(grid, (0.7, 0.2, 0.1), (0.0, 0.9, 0.4))
+    states = profile.states.copy()
+    states[0] = (-0.0, 0.0, 1.0)
+    density = gaussian_density(grid, (0.5, 1.0), (0.6, 0.6))
+    write_profile_csv(Profile(states), grid, density, tmp_path / "profile.csv")
+    rows = [
+        (*grid.nodes[j], grid.weights[j], density.values[j], *states[j])
+        for j in range(grid.size)
+    ]
+    _write_csv_per_row(tmp_path / "ref.csv", "sigma1,sigma2,weight,rho,x1,x2,x3\n", rows)
+    assert (tmp_path / "profile.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    schedule = ControlSchedule(((0.3, 1.0, -0.5), (0.4, -0.7, 0.2)))
+    trace = simulate(profile, grid, density, schedule, X1 * X2, dt=0.07)
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    _write_csv_per_row(tmp_path / "ref.csv", "t,y\n", zip(trace.times, trace.values))
+    assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
