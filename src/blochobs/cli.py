@@ -190,7 +190,8 @@ def parse_profile(obj, grid: ens.ParameterGrid, path="profile") -> ens.Profile:
             states = obj.get("states")
             if not isinstance(states, list):
                 raise ConfigError(f"{path}.states: expected a list")
-            return ens.table_profile(grid, states)
+            rows = [_vector(row, 3, f"{path}.states[{i}]") for i, row in enumerate(states)]
+            return ens.table_profile(grid, rows)
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     raise ConfigError(f"{path}.kind: expected constant, angles, or table")

@@ -80,7 +80,7 @@ class Density:
     values: np.ndarray  # (N,), nonnegative
 
     def __post_init__(self):
-        if np.any(self.values < 0):
+        if not np.all(self.values >= 0):  # NaN values fail too
             raise ValueError("density values must be nonnegative")
 
 

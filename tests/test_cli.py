@@ -218,6 +218,21 @@ def test_simulate_rejects_nan_and_zero_profiles(tmp_path, profile):
 
 
 @pytest.mark.parametrize(
+    "row",
+    [[False, "0", True], [0.0, 0.0, "1"], [0.0, 0.0, True]],
+    ids=["mixed", "string", "boolean"],
+)
+def test_simulate_rejects_non_numeric_table_states(tmp_path, row):
+    """Table states used to go to np.asarray unchecked, so booleans and
+    numeric strings parsed as coordinates and the run exited 0."""
+    profile = {"kind": "table", "states": [[0.0, 0.0, 1.0]] * 15 + [row]}
+    path = write_config(tmp_path, base_config(profile=profile))
+    out = tmp_path / "trace.csv"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "key, value",
     [("trials", 0), ("trials", -2), ("tol", -1e-12), ("dt", 0.0), ("dt", -0.05)],
     ids=["trials-zero", "trials-negative", "tol-negative", "dt-zero", "dt-negative"],

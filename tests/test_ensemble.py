@@ -298,6 +298,20 @@ def test_table_profile_rejects_nan_row():
         table_profile(grid, rows)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda grid: table_density(grid, [np.nan] * grid.size),
+        lambda grid: gaussian_density(grid, (np.nan, 1.0), (0.6, 0.6)),
+    ],
+    ids=["table", "gaussian"],
+)
+def test_density_rejects_nan_values(build):
+    """A NaN density used to pass the nonnegativity check."""
+    with pytest.raises(ValueError):
+        build(make_grid(BOX, 2, 2))
+
+
 def test_validate_profile_rejects_nan_states():
     grid = make_grid(BOX, 2, 2)
     states = constant_profile(grid, (0, 0, 1)).states.copy()
