@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ensemble import (
+    _BLOCK,
     Density,
     ParameterBox,
     ParameterGrid,
@@ -172,9 +173,9 @@ class OutputSimulator:
     grid: ParameterGrid
     density: Density
 
-    # Node states per rotate_states call in output_tree: bounds what one
-    # tree level holds at a time while keeping the call count low.
-    _BLOCK = 4096
+    # Node states per rotate_states call in output_tree (the ensemble's block
+    # size): bounds what one tree level holds at a time.
+    _BLOCK = _BLOCK
 
     def output_fn(self, phi: Poly) -> Callable[[Sequence[float], Sequence], float]:
         phi_eval = compile_phi(phi)
@@ -200,8 +201,8 @@ class OutputSimulator:
         The states after a prefix are shared by every sequence extending it,
         so the prefix tree is walked depth-first: each block of nodes gets its
         children from one rotation per segment, and the children of at most
-        one block per level are alive.  Each y is the same quadrature as
-        output_fn's, one sequence at a time.
+        one block per level are alive.  phi is evaluated once per block of
+        children; each y is then the same quadrature as output_fn's.
         """
         phi_eval = compile_phi(phi)
         base = self.grid.weights * self.density.values
@@ -220,9 +221,11 @@ class OutputSimulator:
             for j, (tau, u) in enumerate(segments):
                 children[:, j] = rotate_states(parents, sigmas[: m * N], u, tau).reshape(m, N, 3)
             children = children.reshape(m * B, N, 3)
+            vals = phi_eval(children.reshape(-1, 3))
             out = ys[level + 1]
             for c in range(m * B):
-                out[first * B + c] = float(np.dot(base, phi_eval(children[c])))
+                out[first * B + c] = float(np.dot(base, vals[c * N : (c + 1) * N]))
+            del vals  # not needed by the levels below
             if level + 1 < depth:
                 for lo in range(0, m * B, per_block):
                     block = children[lo : lo + per_block].reshape(-1, 3)

@@ -26,7 +26,7 @@ from blochobs.ensemble import (
     write_profile_csv,
     write_trace_csv,
 )
-from blochobs.polynomials import X1, X2, X3
+from blochobs.polynomials import Poly, X1, X2, X3
 
 BOX = ParameterBox(0.0, 1.0, 0.5, 1.5)
 
@@ -378,20 +378,59 @@ def _simulate_reference(profile, grid, density, schedule, phi, dt):
 # segment there has omega = 0: the norm guard and the series branch both run.
 SYM_BOX = ParameterBox(-1.0, 1.0, 0.5, 1.5)
 
+# Three segments, the middle one zero-control; the sample at 0.3 lies about
+# 1e-10 after the first boundary (series branch) and shares its block.
+MIXED = ((0.3 - 1e-10, 1.0, -0.5), (0.25, 0.0, 0.0), (0.2, -1.1, 0.6))
+RE_W2 = X1 * X1 - X2 * X2
+RE_W6 = X1**6 - 15 * X1**4 * X2**2 + 15 * X1**2 * X2**4 - X2**6
+
 
 @pytest.mark.parametrize(
-    "schedule, dt, phi",
+    "schedule, dt, phi, block",
     [
         # the sample at 0.3 lies about 1e-10 after the boundary: series branch
-        (((0.3 - 1e-10, 1.0, -0.5), (0.4, -0.7, 0.2)), 0.1, X3),
-        (((0.25, 0.8, 0.3), (0.3, 0.0, 0.0), (0.2, -1.1, 0.6)), 0.05, X3),
-        (((0.3, 0.5, 0.5), (0.2, -0.4, 1.3)), 10.0, X3),
-        (((0.4, 1.2, -0.3), (0.3, -0.8, 0.9), (0.15, 0.0, 0.0)), 0.03, X1 * X2 * X3),
-        ((), 0.1, X3),
+        (((0.3 - 1e-10, 1.0, -0.5), (0.4, -0.7, 0.2)), 0.1, X3, None),
+        (((0.25, 0.8, 0.3), (0.3, 0.0, 0.0), (0.2, -1.1, 0.6)), 0.05, X3, None),
+        (((0.3, 0.5, 0.5), (0.2, -0.4, 1.3)), 10.0, X3, None),
+        (((0.4, 1.2, -0.3), (0.3, -0.8, 0.9), (0.15, 0.0, 0.0)), 0.03, X1 * X2 * X3, None),
+        ((), 0.1, X3, None),
+        (MIXED, 0.03, X1, None),
+        (MIXED, 0.03, X1 * X2, None),
+        (MIXED, 0.03, Poly.constant(3), None),
+        (MIXED, 0.03, Poly.zero(), None),
+        (MIXED, 0.03, RE_W2, None),
+        (MIXED, 0.03, RE_W6, None),
+        # 30 node-samples hold two samples of the 12-node grid, so blocks
+        # split inside every segment
+        (MIXED, 0.03, X3, 30),
+        (MIXED, 0.03, X1 * X2 * X3, 30),
+        (MIXED, 0.03, RE_W6, 30),
+        (MIXED, 0.03, X1 * X2, 5),
     ],
-    ids=["near-boundary", "zero-control", "dt-beyond-duration", "x1x2x3", "empty"],
+    ids=[
+        "near-boundary",
+        "zero-control",
+        "dt-beyond-duration",
+        "x1x2x3",
+        "empty",
+        "x1",
+        "x1x2",
+        "constant",
+        "zero-poly",
+        "re-w2",
+        "re-w6",
+        "block-30-x3",
+        "block-30-x1x2x3",
+        "block-30-re-w6",
+        "block-5-x1x2",
+    ],
 )
-def test_simulate_matches_per_sample_reference(schedule, dt, phi):
+def test_simulate_matches_per_sample_reference(schedule, dt, phi, block, monkeypatch):
+    """Bit-identical to rotating from the segment start at every sample, for
+    observables that read one, two, three or no coordinates, and with blocks
+    of one or two samples."""
+    if block is not None:
+        monkeypatch.setattr(ensemble, "_BLOCK", block)
     grid = make_grid(SYM_BOX, 3, 4)
     assert np.any(grid.nodes[:, 0] == 0.0)
     profile = angles_profile(grid, (0.7, 0.2, 0.1), (0.0, 0.9, 0.4))
@@ -401,6 +440,60 @@ def test_simulate_matches_per_sample_reference(schedule, dt, phi):
     trace = simulate(profile, grid, density, schedule, phi, dt)
     assert np.array_equal(trace.times, times)
     assert np.array_equal(trace.values, values)
+
+
+@pytest.mark.parametrize("block", [None, 30], ids=["default-block", "block-30"])
+def test_rotation_samples_match_calls(block, monkeypatch):
+    """Each block of samples holds, in every listed column, the bits of the
+    per-duration rotation, and NaN in the others.  The 1e-10 duration (series
+    branch) and the zero-control nodes (omega = 0) sit inside multi-sample
+    blocks."""
+    if block is not None:
+        monkeypatch.setattr(ensemble, "_BLOCK", block)
+    grid = make_grid(SYM_BOX, 3, 4)
+    states = angles_profile(grid, (0.7, 0.2, 0.1), (0.0, 0.9, 0.4)).states
+    taus = [0.2, 1e-10, -0.3, 0.45, 0.7]
+    for u in ((0.8, -1.3), (0.0, 0.0)):
+        rotation = ensemble._rotation(states, ensemble.segment_axis(grid.nodes, u))
+        expected = np.concatenate([rotation(tau) for tau in taus])
+        for axes in ([2], [0, 1], [0, 1, 2], []):
+            got = np.concatenate([b.copy() for b in rotation.samples(taus, axes)])
+            assert got.shape == expected.shape
+            for d in range(3):
+                if d in axes:
+                    assert np.array_equal(got[:, d], expected[:, d])
+                else:
+                    assert np.all(np.isnan(got[:, d]))
+
+
+def test_simulate_rejects_nan_dt():
+    """dt <= 0 is false for NaN, which used to sample only the boundaries."""
+    grid = make_grid(BOX, 2, 2)
+    profile = constant_profile(grid, (0, 0, 1))
+    schedule = ControlSchedule(((0.5, 1.0, 0.0), (0.3, 0.0, 1.0)))
+    with pytest.raises(ValueError):
+        simulate(profile, grid, uniform_density(grid), schedule, X3, dt=float("nan"))
+    pair = (profile, uniform_density(grid))
+    with pytest.raises(ValueError):
+        output_equiv_test(pair, pair, grid, X3, trials=2, seed=0, tol=1e-12, dt=float("nan"))
+
+
+@pytest.mark.parametrize(
+    "segment",
+    [
+        (float("nan"), 1.0, 0.0),
+        (float("inf"), 1.0, 0.0),
+        (0.5, float("nan"), 0.0),
+        (0.5, 0.0, float("inf")),
+        (0.5, -float("inf"), 0.0),
+    ],
+    ids=["nan-duration", "inf-duration", "nan-u1", "inf-u2", "minus-inf-u1"],
+)
+def test_schedule_rejects_non_finite_segments(segment):
+    """NaN controls gave an all-NaN trace, and an infinite duration would
+    never end simulate's sampling loop."""
+    with pytest.raises(ValueError):
+        ControlSchedule(((0.2, 0.5, 0.5), segment))
 
 
 def _rotate_one_expression(states, omega, tau):

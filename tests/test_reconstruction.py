@@ -178,10 +178,13 @@ def _sequential_word_moments(sim, phi, length, fd_step):
     return mixed
 
 
-@pytest.mark.parametrize("phi", [X3, X1 * X2], ids=["x3", "x1x2"])
+@pytest.mark.parametrize(
+    "phi", [X3, X1 * X2, X1 * X1 - X2 * X2], ids=["x3", "x1x2", "re-w2"]
+)
 def test_measured_word_moments_match_sequential_reference(phi, monkeypatch):
-    """The prefix-tree walk gives bit-identical moments, also when its
-    blocks (here 4 nodes of 9) split a tree level."""
+    """The prefix-tree walk, with one phi evaluation per block of children,
+    gives bit-identical moments, also when its blocks (here 4 nodes of 9)
+    split a tree level."""
     grid = make_grid(BOX, 3, 3)
     truth = smooth_truth(grid)
     sim = OutputSimulator(truth[0], grid, truth[1])
