@@ -130,7 +130,7 @@ def parse_phi(obj, path="phi") -> Poly:
         if not isinstance(rows, list) or not rows:
             raise ConfigError(f"{path}.coefficients: expected a nonempty list")
         for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != 2:
+            if not isinstance(row, list) or len(row) != 2 or not isinstance(row[0], list):
                 raise ConfigError(
                     f"{path}.coefficients[{i}]: expected [[e1,e2,e3], value]"
                 )
@@ -398,6 +398,8 @@ def cmd_reconstruct(args) -> int:
     box = parse_box(cfg["box"])
     grid = parse_grid(cfg["grid"], box)
     phi = parse_phi(cfg["phi"])
+    if phi.homogeneous_degree < 1:
+        raise ConfigError("config.phi: reconstruct needs an observable of degree >= 1")
     _require_keys(cfg["truth"], {"profile", "density"}, {"profile", "density"}, "config.truth")
     profile = parse_profile(cfg["truth"]["profile"], grid, "config.truth.profile")
     density = parse_density(cfg["truth"]["density"], grid, "config.truth.density")
@@ -524,10 +526,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, AssertionError) as exc:
+    except (StageError, ValueError, ArithmeticError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

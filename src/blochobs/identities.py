@@ -171,14 +171,21 @@ def constant_quadratic_form(basis: HarmonicBasis) -> QuadraticIdentity:
 
 
 def verify_quadratic_identity(identity: QuadraticIdentity) -> bool:
-    """Exact check that sum_ij C_ij p_i p_j - ||x||^(2n) is the zero polynomial."""
-    basis = identity.basis
+    """Exact check that sum_ij C_ij p_i p_j - ||x||^(2n) is the zero polynomial.
+
+    Each row is folded first, as sum_i p_i (sum_j C_ij p_j): 2n+1 products
+    instead of (2n+1)^2.
+    """
+    polys = identity.basis.polys
     total = Poly.zero()
-    for i, row in enumerate(identity.coeffs):
-        for j, c in enumerate(row):
+    for p, row in zip(polys, identity.coeffs):
+        folded = Poly.zero()
+        for q, c in zip(polys, row):
             if c:
-                total = total + (basis.polys[i] * basis.polys[j]).scale(c)
-    return total == Poly.norm_sq() ** basis.n
+                folded = folded + q.scale(c)
+        if folded:
+            total = total + p * folded
+    return total == Poly.norm_sq() ** identity.basis.n
 
 
 def rebase_quadratic_identity(

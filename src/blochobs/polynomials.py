@@ -1,9 +1,14 @@
 """Exact sparse polynomials in x1, x2, x3 with complex-rational coefficients.
 
-A polynomial maps exponent triples ``(e1, e2, e3)`` to nonzero :class:`CRational`
-coefficients; the zero polynomial stores no terms.  All arithmetic is exact, so
-algebraic identities downstream are checked with zero tolerance.  Floats appear
-only when :meth:`Poly.evaluate` converts a value at a numeric point.
+Both classes work on plain Python integers.  A :class:`CRational` is
+``(a + b i) / d`` with ``d > 0`` and ``gcd(a, b, d) = 1``; a :class:`Poly`
+maps exponent triples ``(e1, e2, e3)`` to integer pairs ``(a, b)`` over one
+denominator ``d``, with ``d > 0``, the gcd of ``d`` and every ``a`` and ``b``
+equal to 1, and no ``(0, 0)`` pair stored.  Each form is canonical, so
+equality is structural, and each result is normalised by one gcd pass.  All
+arithmetic is exact, so algebraic identities downstream are checked with zero
+tolerance.  Floats appear only when :meth:`Poly.evaluate` converts a value at
+a numeric point.
 
 Canonical printing uses graded-lex term order (total degree first, then the
 exponent triple, both descending), which keeps text output and golden files
@@ -19,18 +24,49 @@ from typing import Iterable, Mapping, Tuple, Union
 Exponents = Tuple[int, int, int]
 RationalLike = Union[int, Fraction]
 
+_new = object.__new__
+
+
+def _cr(a: int, b: int, d: int) -> "CRational":
+    """The canonical ``(a + b i) / d`` for ``d > 0``."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    c = _new(CRational)
+    c._a = a
+    c._b = b
+    c._d = d
+    return c
+
 
 class CRational:
     """Complex scalar with exact rational real and imaginary parts.
 
-    Instances are immutable by convention; equality and hashing are exact.
+    Instances are immutable by convention; equality and hashing are exact, and
+    a real value hashes like the equal ``int`` or ``Fraction``.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re: RationalLike = 0, im: RationalLike = 0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            d = lcm(re.denominator, im.denominator)
+            a = re.numerator * (d // re.denominator)
+            b = im.numerator * (d // im.denominator)
+        self._a, self._b, self._d = a, b, d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
 
     @staticmethod
     def _coerce(value) -> "CRational":
@@ -41,18 +77,26 @@ class CRational:
         return NotImplemented
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CRational(self.re + other.re, self.im + other.im)
+        if type(other) is not CRational:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _cr(self._a + other._a, self._b + other._b, d1)
+        return _cr(self._a * d2 + other._a * d1, self._b * d2 + other._b * d1, d1 * d2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CRational(self.re - other.re, self.im - other.im)
+        if type(other) is not CRational:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        d1, d2 = self._d, other._d
+        if d1 == d2:
+            return _cr(self._a - other._a, self._b - other._b, d1)
+        return _cr(self._a * d2 - other._a * d1, self._b * d2 - other._b * d1, d1 * d2)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -61,27 +105,35 @@ class CRational:
         return other - self
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return CRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not CRational:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        if b1 or b2:
+            return _cr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
+        return _cr(a1 * a2, 0, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        d = other.re * other.re + other.im * other.im
-        if d == 0:
+        if type(other) is not CRational:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, other._a, other._b
+        f = other._d
+        if b2:
+            # x / y = x * conj(d_y y) * d_y / |d_y y|^2
+            a1, b1 = a1 * a2 + b1 * b2, b1 * a2 - a1 * b2
+            n = a2 * a2 + b2 * b2
+        elif a2 > 0:
+            n = a2
+        elif a2:
+            n, f = -a2, -f
+        else:
             raise ZeroDivisionError("division by zero CRational")
-        return CRational(
-            (self.re * other.re + self.im * other.im) / d,
-            (self.im * other.re - self.re * other.im) / d,
-        )
+        return _cr(a1 * f, b1 * f, self._d * n)
 
     def __rtruediv__(self, other):
         other = self._coerce(other)
@@ -90,29 +142,36 @@ class CRational:
         return other / self
 
     def __neg__(self):
-        return CRational(-self.re, -self.im)
+        c = _new(CRational)
+        c._a, c._b, c._d = -self._a, -self._b, self._d
+        return c
 
     def conjugate(self) -> "CRational":
-        return CRational(self.re, -self.im)
+        c = _new(CRational)
+        c._a, c._b, c._d = self._a, -self._b, self._d
+        return c
 
     def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if type(other) is not CRational:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._a == other._a and self._b == other._b and self._d == other._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if self._b:
+            return hash((self._a, self._b, self._d))
+        return hash(Fraction(self._a, self._d))
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
+        return bool(self._a or self._b)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._b
 
     def to_complex(self) -> complex:
-        return complex(self.re, self.im)
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"CRational({self.re!r}, {self.im!r})"
@@ -121,18 +180,15 @@ class CRational:
         return coeff_text(self)
 
 
-def _frac_text(x: Fraction) -> str:
-    return str(x)
-
-
 def coeff_text(c: CRational) -> str:
     """Canonical coefficient rendering: ``2``, ``-1/2``, ``3 i``, ``1/2 - 3 i``."""
-    if c.im == 0:
-        return _frac_text(c.re)
-    if c.re == 0:
-        return f"{_frac_text(c.im)} i"
-    sign = "+" if c.im > 0 else "-"
-    return f"{_frac_text(c.re)} {sign} {_frac_text(abs(c.im))} i"
+    re, im = c.re, c.im
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return f"{im} i"
+    sign = "+" if im > 0 else "-"
+    return f"{re} {sign} {abs(im)} i"
 
 
 def monomial_degree(exps: Exponents) -> int:
@@ -160,6 +216,22 @@ def _monomial_text(exps: Exponents) -> str:
     return " ".join(parts)
 
 
+def _poly(terms: dict, d: int) -> "Poly":
+    """The canonical Poly of ``terms / d``, for ``d > 0`` and no ``(0, 0)`` pair."""
+    g = d
+    for a, b in terms.values():
+        if g == 1:
+            break
+        g = gcd(g, a, b)
+    if g != 1:
+        terms = {e: (a // g, b // g) for e, (a, b) in terms.items()}
+        d //= g
+    p = _new(Poly)
+    p._terms = terms
+    p._d = d
+    return p
+
+
 class Poly:
     """Sparse polynomial over the complex rationals in three real variables.
 
@@ -167,7 +239,7 @@ class Poly:
     all operations are pure, so they are safe to share across workers.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_terms", "_d")
 
     def __init__(self, terms: Mapping[Exponents, object] | None = None):
         clean: dict[Exponents, CRational] = {}
@@ -179,7 +251,9 @@ class Poly:
                 c = raw if isinstance(raw, CRational) else CRational(raw)
                 if c:
                     clean[e] = c
-        self._terms = clean
+        d = lcm(*(c._d for c in clean.values()))
+        self._terms = {e: (c._a * (d // c._d), c._b * (d // c._d)) for e, c in clean.items()}
+        self._d = d
 
     # --- constructors -----------------------------------------------------
 
@@ -207,10 +281,12 @@ class Poly:
 
     @property
     def terms(self) -> dict[Exponents, CRational]:
-        return dict(self._terms)
+        d = self._d
+        return {e: _cr(a, b, d) for e, (a, b) in self._terms.items()}
 
     def coefficient(self, exps: Exponents) -> CRational:
-        return self._terms.get(tuple(exps), CRational())
+        ab = self._terms.get(tuple(exps))
+        return CRational() if ab is None else _cr(ab[0], ab[1], self._d)
 
     def __len__(self):
         return len(self._terms)
@@ -224,7 +300,7 @@ class Poly:
 
     @property
     def is_real(self) -> bool:
-        return all(c.is_real for c in self._terms.values())
+        return not any(b for _, b in self._terms.values())
 
     @property
     def degree(self) -> int:
@@ -243,38 +319,52 @@ class Poly:
 
     def sorted_terms(self) -> list[tuple[Exponents, CRational]]:
         return sorted(
-            self._terms.items(),
+            self.terms.items(),
             key=lambda kv: (monomial_degree(kv[0]), kv[0]),
             reverse=True,
         )
 
     # --- arithmetic -------------------------------------------------------
 
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the lcm of the two denominators."""
+        d1, d2 = self._d, other._d
+        d = lcm(d1, d2)
+        f1, f2 = d // d1, sign * (d // d2)
+        if f1 == 1:
+            out = dict(self._terms)
+        else:
+            out = {e: (a * f1, b * f1) for e, (a, b) in self._terms.items()}
+        get = out.get
+        for e, (a, b) in other._terms.items():
+            old = get(e)
+            if old is None:
+                out[e] = (a * f2, b * f2)
+            else:
+                out[e] = (old[0] + a * f2, old[1] + b * f2)
+        return _poly({e: ab for e, ab in out.items() if ab[0] or ab[1]}, d)
+
     def __add__(self, other):
         if isinstance(other, (int, Fraction, CRational)):
             other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, CRational()) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        p = Poly.__new__(Poly)
-        p._terms = out
-        return p
+        return self._combine(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Poly.__new__(Poly)
-        p._terms = {e: -c for e, c in self._terms.items()}
+        p = _new(Poly)
+        p._terms = {e: (-a, -b) for e, (a, b) in self._terms.items()}
+        p._d = self._d
         return p
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, Poly) else Poly.constant(other * -1))
+        if isinstance(other, (int, Fraction, CRational)):
+            other = Poly.constant(other)
+        if not isinstance(other, Poly):
+            return NotImplemented
+        return self._combine(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -284,18 +374,22 @@ class Poly:
             return self.scale(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        out: dict[Exponents, CRational] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
-                s = out.get(e, CRational()) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        p = Poly.__new__(Poly)
-        p._terms = out
-        return p
+        out: dict = {}
+        get = out.get
+        t2 = other._terms.items()
+        if self.is_real and other.is_real:
+            for (x, y, z), (a1, _) in self._terms.items():
+                for (u, v, w), (a2, _) in t2:
+                    e = (x + u, y + v, z + w)
+                    out[e] = get(e, 0) + a1 * a2
+            return _poly({e: (a, 0) for e, a in out.items() if a}, self._d * other._d)
+        for (x, y, z), (a1, b1) in self._terms.items():
+            for (u, v, w), (a2, b2) in t2:
+                e = (x + u, y + v, z + w)
+                re, im = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+                old = get(e)
+                out[e] = (re, im) if old is None else (old[0] + re, old[1] + im)
+        return _poly({e: ab for e, ab in out.items() if ab[0] or ab[1]}, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -303,9 +397,12 @@ class Poly:
         c = c if isinstance(c, CRational) else CRational(c)
         if not c:
             return Poly.zero()
-        p = Poly.__new__(Poly)
-        p._terms = {e: c * v for e, v in self._terms.items()}
-        return p
+        ca, cb = c._a, c._b
+        if cb:
+            out = {e: (ca * a - cb * b, ca * b + cb * a) for e, (a, b) in self._terms.items()}
+        else:
+            out = {e: (ca * a, ca * b) for e, (a, b) in self._terms.items()}
+        return _poly(out, c._d * self._d)
 
     def __pow__(self, k: int) -> "Poly":
         if k < 0:
@@ -326,16 +423,14 @@ class Poly:
         if axis not in (1, 2, 3):
             raise ValueError("axis must be 1, 2, or 3")
         i = axis - 1
-        out: dict[Exponents, CRational] = {}
-        for e, c in self._terms.items():
-            if e[i] == 0:
-                continue
-            d = list(e)
-            d[i] -= 1
-            out[tuple(d)] = c * e[i]
-        p = Poly.__new__(Poly)
-        p._terms = out
-        return p
+        out = {}
+        for e, (a, b) in self._terms.items():
+            k = e[i]
+            if k:
+                d = list(e)
+                d[i] = k - 1
+                out[tuple(d)] = (a * k, b * k)
+        return _poly(out, self._d)
 
     def laplacian(self) -> "Poly":
         return (
@@ -357,57 +452,45 @@ class Poly:
     # --- conversions ------------------------------------------------------
 
     def conjugate(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p._terms = {e: c.conjugate() for e, c in self._terms.items()}
+        p = _new(Poly)
+        p._terms = {e: (a, -b) for e, (a, b) in self._terms.items()}
+        p._d = self._d
         return p
 
     def real_part(self) -> "Poly":
-        p = Poly.__new__(Poly)
-        p._terms = {e: CRational(c.re) for e, c in self._terms.items() if c.re != 0}
-        return p
+        return _poly({e: (a, 0) for e, (a, _) in self._terms.items() if a}, self._d)
 
     def evaluate(self, point: Iterable[float]) -> complex:
         x1, x2, x3 = point
         total = 0j
-        for (e1, e2, e3), c in self._terms.items():
+        for (e1, e2, e3), c in self.terms.items():
             total += c.to_complex() * (x1**e1) * (x2**e2) * (x3**e3)
         return total
 
     def content(self) -> Fraction:
         """gcd of coefficient numerators over lcm of denominators (0 for zero)."""
-        if not self._terms:
-            return Fraction(0)
-        nums: list[int] = []
-        dens: list[int] = []
-        for c in self._terms.values():
-            for part in (c.re, c.im):
-                if part != 0:
-                    nums.append(abs(part.numerator))
-                    dens.append(part.denominator)
-        g = 0
-        for n in nums:
-            g = gcd(g, n)
-        l = 1
-        for d in dens:
-            l = lcm(l, d)
-        return Fraction(g, l)
+        return Fraction(gcd(*(g for ab in self._terms.values() for g in ab)), self._d)
 
     def primitive(self) -> "Poly":
         """Divide out the content, giving coprime integer coefficients."""
         c = self.content()
         if c in (0, 1):
             return self
-        return self.scale(Fraction(1) / c)
+        g = c.numerator
+        p = _new(Poly)
+        p._terms = {e: (a // g, b // g) for e, (a, b) in self._terms.items()}
+        p._d = 1
+        return p
 
     # --- equality / text ----------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self._terms == other._terms
+        return self._d == other._d and self._terms == other._terms
 
     def __hash__(self):
-        return hash(tuple(sorted(self._terms.items())))
+        return hash((self._d, tuple(sorted(self._terms.items()))))
 
     def text(self) -> str:
         """Canonical text form, graded-lex descending: ``(c) x1^a x2^b x3^c``."""

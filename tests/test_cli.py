@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -50,6 +51,24 @@ def test_identities_golden_bytes(tmp_path, n):
     out = tmp_path / "identity.json"
     assert main(["identities", "--degree", str(n), "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / f"identities_n{n}.json").read_bytes()
+
+
+# sha256 of the `identities --degree n` output bytes, recorded with the
+# Fraction-backed scalar that preceded the integer one.
+IDENTITY_SHA256 = {
+    4: "037cbe028d7af9bad2922ef69545229b83901a49b99ca4866c78ba3b00ae1fcd",
+    5: "142c51d433b36e2568c8ac698597bcd98eb48bc6f6a90718ed0a61db2578f9e9",
+    6: "6eea7c169fa3ba81ffcb4ed2806cf6cecda2f17dfe02af39fce71e57b4eec20d",
+    7: "0aab41a1a0ed7efb045cd938b3539f6093bcbe67bd1dec74b54356655b964d04",
+    8: "009609388a5fbbab64d39ace16cb77f200bb5fddcb1136d7e6b6f990fb816471",
+}
+
+
+@pytest.mark.parametrize("n", sorted(IDENTITY_SHA256))
+def test_identities_pinned_sha256(tmp_path, n):
+    out = tmp_path / "identity.json"
+    assert main(["identities", "--degree", str(n), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == IDENTITY_SHA256[n]
 
 
 def test_identities_usage_error():
@@ -126,6 +145,33 @@ def test_simulate_inharmonic_phi_rejected(tmp_path):
     cfg["phi"] = {"degree": 2, "coefficients": [[[2, 0, 0], 1.0]]}
     path = write_config(tmp_path, cfg)
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_phi_exponent_not_a_list_rejected(tmp_path):
+    cfg = base_config()
+    cfg["phi"] = {"degree": 1, "coefficients": [[5, 1]]}
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_constant_phi_accepted_by_simulate_and_equivalence(tmp_path):
+    const = {"degree": 0, "coefficients": [[[0, 0, 0], 1]]}
+    path = write_config(tmp_path, base_config(phi=const))
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 0
+    density = {"kind": "uniform", "value": 1.0}
+    cfg = {
+        "box": {"a1": 0.0, "b1": 1.0, "a2": 0.5, "b2": 1.5},
+        "grid": {"n1": 3, "n2": 3},
+        "phi": const,
+        "pair_a": {"profile": {"kind": "constant", "x": [0.0, 0.6, 0.8]}, "density": density},
+        "pair_b": {"profile": {"kind": "constant", "x": [1.0, 0.0, 0.0]}, "density": density},
+        "trials": 3,
+        "tol": 1e-12,
+    }
+    path = write_config(tmp_path, cfg, "eq.json")
+    out = tmp_path / "verdict.json"
+    assert main(["equivalence", "--config", path, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["verdict"] == "equivalent-so-far"
 
 
 def test_equivalence_self_pair(tmp_path):
@@ -360,6 +406,15 @@ def test_reconstruct_rejects_non_finite_and_negative_cap(tmp_path, key, value):
     out = tmp_path / "r.json"
     code = main(["reconstruct", "--config", path, "--mode", "measured-moments", "--out", str(out)])
     assert code == 2
+    assert not out.exists()
+
+
+def test_reconstruct_rejects_constant_phi(tmp_path):
+    cfg = reconstruct_config()
+    cfg["phi"] = {"degree": 0, "coefficients": [[[0, 0, 0], 1]]}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "r.json"
+    assert main(["reconstruct", "--config", path, "--mode", "oracle-psi", "--out", str(out)]) == 2
     assert not out.exists()
 
 

@@ -152,3 +152,14 @@ def test_crational_division():
     assert a / b == CRational(1, -1)
     with pytest.raises(ZeroDivisionError):
         a / CRational()
+
+
+def test_real_values_hash_like_ints_and_fractions():
+    for v in (0, 3, -7, 2**70, Fraction(1, 2), Fraction(-5, 3), Fraction(1, 2**70 + 1)):
+        c = CRational(v)
+        assert c == v and hash(c) == hash(v)
+        assert {v: "hit"}.get(c) == "hit"
+        assert {c: "hit"}.get(v) == "hit"
+        assert len({c, v}) == 1
+    assert CRational(Fraction(6, 2)) == 3 and hash(CRational(Fraction(6, 2))) == hash(3)
+    assert CRational(3, 1) != 3
