@@ -225,12 +225,14 @@ def _load_config(path: str) -> dict:
     return obj
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(payload: dict, out: str | None) -> None:
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            json.dump(payload, fh, sort_keys=True, indent=2)
+            fh.write("\n")
     else:
-        sys.stdout.write(text)
+        json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+        sys.stdout.write("\n")
 
 
 # --- subcommands ------------------------------------------------------------
@@ -311,7 +313,7 @@ def cmd_identities(args) -> int:
     if residual > 1e-10:
         print(f"identities: addition-theorem residual {residual:.3e}", file=sys.stderr)
         return 1
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(payload, args.out)
     return 0
 
 
@@ -383,7 +385,7 @@ def cmd_equivalence(args) -> int:
         "tol": tol,
         "seed": seed,
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(payload, args.out)
     return 0
 
 
@@ -430,7 +432,7 @@ def cmd_reconstruct(args) -> int:
         "undefined_nodes": sorted(undefined),
         "diagnostics": result.diagnostics,
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args.out)
+    _emit(payload, args.out)
     if args.report:
         est = result.profile_est.states
         direct = np.linalg.norm(est - profile.states, axis=1)
@@ -526,7 +528,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (StageError, ValueError, ArithmeticError, AssertionError) as exc:
+    except StageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except (ValueError, ArithmeticError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -110,9 +110,7 @@ class CRational:
             if other is NotImplemented:
                 return NotImplemented
         a1, b1, a2, b2 = self._a, self._b, other._a, other._b
-        if b1 or b2:
-            return _cr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
-        return _cr(a1 * a2, 0, self._d * other._d)
+        return _cr(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self._d * other._d)
 
     __rmul__ = __mul__
 
@@ -331,10 +329,7 @@ class Poly:
         d1, d2 = self._d, other._d
         d = lcm(d1, d2)
         f1, f2 = d // d1, sign * (d // d2)
-        if f1 == 1:
-            out = dict(self._terms)
-        else:
-            out = {e: (a * f1, b * f1) for e, (a, b) in self._terms.items()}
+        out = {e: (a * f1, b * f1) for e, (a, b) in self._terms.items()}
         get = out.get
         for e, (a, b) in other._terms.items():
             old = get(e)
@@ -377,12 +372,6 @@ class Poly:
         out: dict = {}
         get = out.get
         t2 = other._terms.items()
-        if self.is_real and other.is_real:
-            for (x, y, z), (a1, _) in self._terms.items():
-                for (u, v, w), (a2, _) in t2:
-                    e = (x + u, y + v, z + w)
-                    out[e] = get(e, 0) + a1 * a2
-            return _poly({e: (a, 0) for e, a in out.items() if a}, self._d * other._d)
         for (x, y, z), (a1, b1) in self._terms.items():
             for (u, v, w), (a2, b2) in t2:
                 e = (x + u, y + v, z + w)
@@ -398,10 +387,7 @@ class Poly:
         if not c:
             return Poly.zero()
         ca, cb = c._a, c._b
-        if cb:
-            out = {e: (ca * a - cb * b, ca * b + cb * a) for e, (a, b) in self._terms.items()}
-        else:
-            out = {e: (ca * a, ca * b) for e, (a, b) in self._terms.items()}
+        out = {e: (ca * a - cb * b, ca * b + cb * a) for e, (a, b) in self._terms.items()}
         return _poly(out, c._d * self._d)
 
     def __pow__(self, k: int) -> "Poly":

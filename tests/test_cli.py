@@ -53,6 +53,11 @@ def test_identities_golden_bytes(tmp_path, n):
     assert out.read_bytes() == (GOLDEN / f"identities_n{n}.json").read_bytes()
 
 
+def test_identities_stdout_matches_golden(capsys):
+    assert main(["identities", "--degree", "2"]) == 0
+    assert capsys.readouterr().out == (GOLDEN / "identities_n2.json").read_text(encoding="utf-8")
+
+
 # sha256 of the `identities --degree n` output bytes, recorded with the
 # Fraction-backed scalar that preceded the integer one.
 IDENTITY_SHA256 = {

@@ -234,7 +234,7 @@ def random_polys(rng, max_terms=5, degree=3):
         e = (e1, e2, rng.randint(0, degree - e1 - e2))
         c, r = random_pair(rng)
         terms[e], ref_terms[e] = c, r
-    if rng.random() < 0.3:  # a real polynomial, for the real-only product loop
+    if rng.random() < 0.3:  # a real polynomial
         terms = {e: CRational(c.re) for e, c in terms.items()}
         ref_terms = {e: RefCRational(c.re) for e, c in ref_terms.items()}
     return Poly(terms), RefPoly(ref_terms)
