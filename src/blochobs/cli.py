@@ -113,6 +113,14 @@ def parse_grid(obj, box: ens.ParameterBox, path="grid") -> ens.ParameterGrid:
     return ens.make_grid(box, n1, n2)
 
 
+def _coefficient(value: float) -> Fraction:
+    """The closest fraction to value with denominator at most 10**9 if it
+    rounds back to value (so 0.1 is 1/10), else value exactly: a small or
+    finely given coefficient is never changed."""
+    limited = Fraction(value).limit_denominator(10**9)
+    return limited if float(limited) == value else Fraction(value)
+
+
 def parse_phi(obj, path="phi") -> Poly:
     _require_keys(obj, {"degree", "named", "coefficients"}, {"degree"}, path)
     degree = _integer(obj["degree"], f"{path}.degree")
@@ -138,9 +146,8 @@ def parse_phi(obj, path="phi") -> Poly:
             e = [_integer(v, f"{path}.coefficients[{i}].exponent") for v in exps]
             if len(e) != 3 or min(e) < 0:
                 raise ConfigError(f"{path}.coefficients[{i}]: bad exponent triple")
-            terms[tuple(e)] = terms.get(tuple(e), 0) + Fraction(
-                _number(value, f"{path}.coefficients[{i}].value")
-            ).limit_denominator(10**9)
+            value = _number(value, f"{path}.coefficients[{i}].value")
+            terms[tuple(e)] = terms.get(tuple(e), 0) + _coefficient(value)
         phi = Poly(terms)
     else:
         raise ConfigError(f"{path}: needs either 'named' or 'coefficients'")
@@ -460,6 +467,12 @@ def cmd_reconstruct(args) -> int:
 def cmd_addition_check(args) -> int:
     if args.degree < 0:
         print("addition-check: --degree must be >= 0", file=sys.stderr)
+        return 2
+    if args.samples < 1:
+        print("addition-check: --samples must be >= 1", file=sys.stderr)
+        return 2
+    if not 0 <= args.tol < math.inf:  # NaN fails too
+        print("addition-check: --tol must be finite and nonnegative", file=sys.stderr)
         return 2
     residual = addition_theorem_residual(args.degree, args.samples, args.seed)
     print(f"degree {args.degree}: max residual {residual:.3e} over {args.samples} samples")

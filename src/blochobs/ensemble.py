@@ -24,8 +24,9 @@ from .polynomials import Poly
 _SMALL_ANGLE = 1e-8
 
 # Node states per block of simulate and of the measured-moments prefix tree.
-# At 1024 a 256-node grid batches 4 samples per numpy call; 4096 ran no
-# faster there and raised the peak resident memory by about 0.3 MB.
+# At 1024 a 256-node grid batches 4 samples per numpy call (2 in equivalence,
+# which stacks both pairs); 4096 ran no faster there and raised the peak
+# resident memory by about 0.3 MB.
 _BLOCK = 1024
 
 
@@ -200,22 +201,102 @@ class OutputTrace:
             raise ValueError("times and values must have equal length")
 
 
+def _cross(a: np.ndarray, b: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Rows d in axes of np.cross(a, b).T for (M, 3) a and b, as contiguous
+    columns of a (3, M) array; np.cross's products and differences in its
+    order, so the bits are the same.  Rows not in axes are left unset."""
+    out = np.empty((3, len(a)))
+    for d in axes:
+        i, j = (d + 1) % 3, (d + 2) % 3
+        np.multiply(a[:, i], b[:, j], out=out[d])
+        out[d] -= a[:, j] * b[:, i]
+    return out
+
+
+class RotationPlan:
+    """The part of a rotation about each omega row that does not depend on
+    the states: the norms and unit axes and, when a duration tau is given,
+    cos and sin of the angles and the rows whose angle is small.
+
+    A fixed-duration plan applies to the leading rows of any set of states
+    (rotate_planned), so a plan built on a grid tiled m times serves every
+    block of at most m node sets.
+    """
+
+    def __init__(self, omega: np.ndarray, tau: float | None = None):
+        self.omega = omega
+        self.norms = np.linalg.norm(omega, axis=1)
+        self.axis = omega / np.where(self.norms == 0.0, 1.0, self.norms)[:, None]
+        if tau is not None:
+            self.tau = tau
+            self.trig = self.angles(tau, np.empty((3, len(omega))))
+
+    def angles(self, tau: float, work: np.ndarray):
+        """cos and sin of the angles, in rows 1 and 2 of the (3, rows) work
+        array, and the indices of the small angles."""
+        tmp, cos, sin = work
+        np.multiply(self.norms, tau, out=tmp)
+        np.cos(tmp, out=cos)
+        np.sin(tmp, out=sin)
+        return cos, sin, np.flatnonzero(np.abs(tmp, out=tmp) < _SMALL_ANGLE)
+
+    def bind(self, states: np.ndarray, axes: Sequence[int] = range(3)):
+        """The cross products (rows d in axes of a (3, M) array) and the dot
+        products of the leading M unit axes with the C-ordered (M, 3) states;
+        einsum's summation order depends on the memory layout."""
+        axis = self.axis[: len(states)]
+        return _cross(axis, states, axes), np.einsum("ij,ij->i", axis, states)
+
+    def write(self, states, cross, dot, tau, trig, axes, out, scratch) -> None:
+        """The rotation formula: out[d] = states*cos + cross*sin +
+        axis*(dot*(1-cos)) for d in axes, summed in this order, so the bits
+        match the one-expression formula.  trig is (cos, sin, small) on the
+        rows of states; scratch is two row buffers, the second of which may be
+        sin, since dot*(1-cos) is formed there once sin is read."""
+        cos, sin, small = trig
+        tmp, scale = scratch
+        axis = self.axis[: len(states)]
+        for d in axes:
+            np.multiply(states[:, d], cos, out=out[d])
+            out[d] += np.multiply(cross[d], sin, out=tmp)
+        np.multiply(dot, np.subtract(1.0, cos, out=scale), out=scale)
+        for d in axes:
+            out[d] += np.multiply(axis[:, d], scale, out=tmp)
+        if small.size:
+            # second-order series in tau avoids 0/0 on the axis normalization
+            x = states[small]
+            wxs = np.cross(self.omega[small], x)
+            wwxs = np.cross(self.omega[small], wxs)
+            for d in axes:
+                out[d, small] = x[:, d] + tau * wxs[:, d] + 0.5 * tau * tau * wwxs[:, d]
+
+
+def rotate_planned(
+    states: np.ndarray, plan: RotationPlan, axes: Sequence[int], out: np.ndarray
+) -> None:
+    """Rotate the C-ordered (M, 3) states by a fixed-duration plan of at least
+    M rows, writing coordinate d in axes to out[d] of a (3, M) view."""
+    rows = len(states)
+    cross, dot = plan.bind(states, axes)
+    cos, sin, small = plan.trig
+    if small.size and small[-1] >= rows:
+        small = small[: np.searchsorted(small, rows)]
+    scratch = np.empty((2, rows))
+    plan.write(states, cross, dot, plan.tau, (cos[:rows], sin[:rows], small), axes, out, scratch)
+
+
 class _rotation:
     """Axis-angle rotation of each row of states about its own omega row.
 
-    Everything that does not depend on the duration (norms, unit axes, the
-    cross and dot products with the states) is computed here once, on the
-    (N, 3) rows, since einsum's summation order depends on the memory layout.
-    Each duration then pays only for the angles, cos/sin and one combination
-    per coordinate computed.
+    The plan and the cross and dot products with the states are computed
+    here once.  Each duration then pays only for the angles, cos/sin and one
+    combination per coordinate computed.
     """
 
     def __init__(self, states: np.ndarray, omega: np.ndarray):
-        self.states, self.omega = states, omega
-        self.norms = np.linalg.norm(omega, axis=1)
-        self.axis = omega / np.where(self.norms == 0.0, 1.0, self.norms)[:, None]
-        self.cross = np.cross(self.axis, states)
-        self.dot = np.einsum("ij,ij->i", self.axis, states)
+        self.states = states
+        self.plan = RotationPlan(omega)
+        self.cross, self.dot = self.plan.bind(states)
 
     def __call__(self, tau: float) -> np.ndarray:
         rotated = np.empty(self.states.shape)  # C order, as the next set-up needs
@@ -238,27 +319,8 @@ class _rotation:
             yield out.T
 
     def _write(self, tau, axes, out, work) -> None:
-        # out[d] = states*cos + cross*sin + axis*(dot*(1-cos)) for d in axes,
-        # summed in this order, so the bits match the one-expression formula;
-        # the third scratch row holds sin, then dot*(1-cos)
-        tmp, cos, sin = work
-        np.multiply(self.norms, tau, out=tmp)
-        np.cos(tmp, out=cos)
-        np.sin(tmp, out=sin)
-        small = np.flatnonzero(np.abs(tmp, out=tmp) < _SMALL_ANGLE)
-        for d in axes:
-            np.multiply(self.states[:, d], cos, out=out[d])
-            out[d] += np.multiply(self.cross[:, d], sin, out=tmp)
-        scale = np.multiply(self.dot, np.subtract(1.0, cos, out=sin), out=sin)
-        for d in axes:
-            out[d] += np.multiply(self.axis[:, d], scale, out=tmp)
-        if small.size:
-            # second-order series in tau avoids 0/0 on the axis normalization
-            x = self.states[small]
-            wxs = np.cross(self.omega[small], x)
-            wwxs = np.cross(self.omega[small], wxs)
-            for d in axes:
-                out[d, small] = x[:, d] + tau * wxs[:, d] + 0.5 * tau * tau * wwxs[:, d]
+        trig = self.plan.angles(tau, work)
+        self.plan.write(self.states, self.cross, self.dot, tau, trig, axes, out, (work[0], work[2]))
 
 
 def segment_axis(sigma: np.ndarray, u: Sequence[float]) -> np.ndarray:
@@ -300,30 +362,49 @@ def compile_phi(phi: Poly) -> Callable[[np.ndarray], np.ndarray]:
 
     Powers come from iterated multiplication, not libm pow, so evaluation is
     exactly parity-covariant: even-degree observables give bitwise-identical
-    values on antipodal states.
+    values on antipodal states.  Each term is the product of its powers in
+    axis order, built in its column of a C-ordered (N, K) array; coordinates
+    phi does not read are never read.
     """
     if not phi.is_real:
         raise ValueError("observable must be real-valued")
     items = phi.sorted_terms()
     exps = np.array([e for e, _ in items], dtype=np.int64).reshape(-1, 3)
     coeffs = np.array([float(c.re) for _, c in items])
-    maxes = exps.max(axis=0) if len(items) else np.zeros(3, dtype=np.int64)
+    # per axis, for each power e = 1, 2, ... up to the largest: the terms
+    # that take x_d^e, each with whether x_d^e is its first factor
+    steps = [
+        [
+            [(t, not exps[t, :d].any()) for t in np.flatnonzero(exps[:, d] == e)]
+            for e in range(1, int(exps[:, d].max(initial=0)) + 1)
+        ]
+        for d in range(3)
+    ]
+    constant = np.flatnonzero(~exps.any(axis=1))
 
     def evaluate(states: np.ndarray) -> np.ndarray:
         if exps.shape[0] == 0:
             return np.zeros(states.shape[0])
-        term_vals = np.ones((states.shape[0], exps.shape[0]))
-        for d in range(3):
-            if maxes[d] == 0:
-                continue
-            table = np.empty((states.shape[0], maxes[d] + 1))
-            table[:, 0] = 1.0
-            for e in range(1, maxes[d] + 1):
-                table[:, e] = table[:, e - 1] * states[:, d]
-            term_vals *= table[:, exps[:, d]]
+        term_vals = np.empty((states.shape[0], exps.shape[0]))
+        term_vals[:, constant] = 1.0
+        for d, powers in enumerate(steps):
+            x = power = states[:, d]
+            for e, terms in enumerate(powers, start=1):
+                if e > 1:
+                    power = np.multiply(power, x, out=None if e == 2 else power)
+                for t, first in terms:
+                    if first:
+                        term_vals[:, t] = power
+                    else:
+                        term_vals[:, t] *= power
         return term_vals @ coeffs
 
     return evaluate
+
+
+def read_axes(phi: Poly) -> list[int]:
+    """The coordinates phi reads, in order: the only ones its evaluator needs."""
+    return sorted({d for exps, _ in phi.sorted_terms() for d in range(3) if exps[d]})
 
 
 def output(profile: Profile, grid: ParameterGrid, density: Density, phi: Poly) -> float:
@@ -341,6 +422,20 @@ def simulate(
     dt: float,
 ) -> OutputTrace:
     """Sample y(t) at multiples of dt plus every segment boundary."""
+    times, (values,) = _simulate_pairs([(profile, density)], grid, schedule, phi, dt)
+    return OutputTrace(times, values)
+
+
+def _simulate_pairs(
+    pairs: Sequence[tuple[Profile, Density]],
+    grid: ParameterGrid,
+    schedule: ControlSchedule,
+    phi: Poly,
+    dt: float,
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """simulate for every (profile, density) pair in one pass: the pairs'
+    states are stacked, so each numpy call serves all of them.  Returns the
+    sample times and one value array per pair."""
     if not dt > 0:  # NaN fails too
         raise ValueError("dt must be positive")
     total = schedule.total_duration
@@ -357,34 +452,40 @@ def simulate(
         t = k * dt
     times = sorted(samples)
     phi_eval = compile_phi(phi)
-    axes = sorted({d for exps, _ in phi.sorted_terms() for d in range(3) if exps[d]})
-    base = grid.weights * density.values
+    axes = read_axes(phi)
+    bases = [grid.weights * density.values for _, density in pairs]
     n = grid.size
+    values = [[] for _ in pairs]
 
-    def y(block: np.ndarray) -> list[float]:
-        # block: (m * n, 3) states of m samples, one after another
+    def y(block: np.ndarray) -> None:
+        # block: states of one sample after another, each pair's n rows in turn
         vals = phi_eval(block)
-        return [float(np.dot(base, vals[lo : lo + n])) for lo in range(0, vals.shape[0], n)]
+        for i, lo in enumerate(range(0, vals.shape[0], n)):
+            p = i % len(pairs)
+            values[p].append(float(np.dot(bases[p], vals[lo : lo + n])))
 
-    values = []
-    states = profile.states
+    if len(pairs) == 1:  # no copies: they would cost a wide grid its size in peak memory
+        sigmas, states = grid.nodes, pairs[0][0].states
+    else:
+        sigmas = np.tile(grid.nodes, (len(pairs), 1))
+        states = np.concatenate([profile.states for profile, _ in pairs])
     i = 0
     for k, (tau, u1, u2) in enumerate(schedule.segments):
-        rotation = _rotation(states, segment_axis(grid.nodes, (u1, u2)))
+        rotation = _rotation(states, segment_axis(sigmas, (u1, u2)))
         durations = []
         while i < len(times) and times[i] <= boundaries[k + 1] + slack:
             if times[i] > boundaries[k]:
                 durations.append(times[i] - boundaries[k])
             else:
-                values.extend(y(states))
+                y(states)
             i += 1
         for block in rotation.samples(durations, axes):
-            values.extend(y(block))
+            y(block)
         states = rotation(tau)
         del rotation  # free this segment's arrays before the next set-up
     for _ in times[i:]:  # an empty schedule samples t = 0
-        values.extend(y(states))
-    return OutputTrace(np.array(times), np.array(values))
+        y(states)
+    return np.array(times), [np.array(v) for v in values]
 
 
 @dataclass(frozen=True)
@@ -425,14 +526,11 @@ def output_equiv_test(
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     rng = np.random.default_rng(seed)
-    prof_a, dens_a = pair_a
-    prof_b, dens_b = pair_b
     worst = 0.0
     for trial in range(trials):
         schedule = random_schedule(rng)
-        tr_a = simulate(prof_a, grid, dens_a, schedule, phi, dt)
-        tr_b = simulate(prof_b, grid, dens_b, schedule, phi, dt)
-        gaps = np.abs(tr_a.values - tr_b.values)
+        times, (values_a, values_b) = _simulate_pairs([pair_a, pair_b], grid, schedule, phi, dt)
+        gaps = np.abs(values_a - values_b)
         exceeding = np.nonzero(gaps > tol)[0]
         if exceeding.size:
             idx = int(exceeding[0])
@@ -440,7 +538,7 @@ def output_equiv_test(
                 "distinguished",
                 float(gaps[idx]),
                 schedule=schedule,
-                time=float(tr_a.times[idx]),
+                time=float(times[idx]),
                 trial=trial,
             )
         worst = max(worst, float(gaps.max()))

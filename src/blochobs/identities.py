@@ -292,6 +292,8 @@ def addition_theorem_residual(n: int, sample_count: int = 100, seed: int = 0) ->
     """max over random sphere points of |sum_k |Y_n^k|^2 - (2n+1)/(4 pi)|."""
     if n < 0:
         raise ValueError("n must be >= 0")
+    if sample_count < 1:
+        raise ValueError("sample_count must be at least 1")
     rng = np.random.default_rng(seed)
     expected = (2 * n + 1) / (4 * math.pi)
     worst = 0.0

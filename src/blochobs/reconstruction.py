@@ -34,8 +34,12 @@ from .ensemble import (
     ParameterBox,
     ParameterGrid,
     Profile,
+    RotationPlan,
     compile_phi,
+    read_axes,
+    rotate_planned,
     rotate_states,
+    segment_axis,
 )
 from .exactlinalg import certified_gram_schmidt
 from .identities import HarmonicBasis, QuadraticIdentity, constant_quadratic_form
@@ -173,8 +177,9 @@ class OutputSimulator:
     grid: ParameterGrid
     density: Density
 
-    # Node states per rotate_states call in output_tree (the ensemble's block
-    # size): bounds what one tree level holds at a time.
+    # Node states per block of output_tree (the ensemble's block size): the
+    # rows its segment plans are tiled to, and what one tree level holds of
+    # each segment at a time.
     _BLOCK = _BLOCK
 
     def output_fn(self, phi: Poly) -> Callable[[Sequence[float], Sequence], float]:
@@ -198,41 +203,50 @@ class OutputSimulator:
         (tau, u) pair drawn from segments.  Entry k has shape
         (len(segments),) * k and is indexed by the sequence of choices.
 
-        The states after a prefix are shared by every sequence extending it,
-        so the prefix tree is walked depth-first: each block of nodes gets its
-        children from one rotation per segment, and the children of at most
-        one block per level are alive.  phi is evaluated once per block of
-        children; each y is then the same quadrature as output_fn's.
+        The states after a prefix are shared by every sequence that extends
+        it, so the prefix tree is walked depth-first: each block of nodes gets
+        its children from one planned rotation per segment, and the children
+        of at most one block per level are alive.  The plans hold everything
+        that does not depend on the states, once per segment for the whole
+        tree, so a tree edge costs only the cross and dot products and the
+        combination.  The last level computes only the coordinates phi reads.
+        phi is evaluated once per block of children; each y is then the same
+        quadrature as output_fn's.
         """
         phi_eval = compile_phi(phi)
+        reads = read_axes(phi)
         base = self.grid.weights * self.density.values
         N = self.grid.size
         B = len(segments)
         per_block = max(1, self._BLOCK // N)
         sigmas = np.tile(self.grid.nodes, (per_block, 1))
+        plans = [RotationPlan(segment_axis(sigmas, u), tau) for tau, u in segments]
+        choices = np.arange(B)[:, None]
         ys = [np.empty(B**k) for k in range(depth + 1)]
         ys[0][0] = float(np.dot(base, phi_eval(self.profile.states)))
 
-        def descend(parents: np.ndarray, level: int, first: int) -> None:
+        def descend(parents: np.ndarray, level: int, prefixes: np.ndarray) -> None:
             # parents: (m * N, 3) states after the length-`level` prefixes
-            # numbered first .. first + m - 1 in base-B order.
-            m = parents.shape[0] // N
-            children = np.empty((m, B, N, 3))
-            for j, (tau, u) in enumerate(segments):
-                children[:, j] = rotate_states(parents, sigmas[: m * N], u, tau).reshape(m, N, 3)
-            children = children.reshape(m * B, N, 3)
-            vals = phi_eval(children.reshape(-1, 3))
-            out = ys[level + 1]
-            for c in range(m * B):
-                out[first * B + c] = float(np.dot(base, vals[c * N : (c + 1) * N]))
+            # numbered prefixes[0 .. m-1] in base-B order.  Children are laid
+            # out segment by segment, so each segment writes one contiguous
+            # (m * N, 3) block.
+            m = len(prefixes)
+            axes = reads if level + 1 == depth else range(3)
+            children = np.empty((B, m * N, 3))
+            for plan, block in zip(plans, children):
+                rotate_planned(parents, plan, axes, block.T)
+            children = children.reshape(B * m * N, 3)
+            numbers = (prefixes * B + choices).ravel()
+            vals = phi_eval(children).reshape(B * m, N)
+            ys[level + 1][numbers] = [np.dot(base, v) for v in vals]
             del vals  # not needed by the levels below
             if level + 1 < depth:
-                for lo in range(0, m * B, per_block):
-                    block = children[lo : lo + per_block].reshape(-1, 3)
-                    descend(block, level + 1, first * B + lo)
+                for lo in range(0, B * m, per_block):
+                    block = children[lo * N : (lo + per_block) * N]
+                    descend(block, level + 1, numbers[lo : lo + per_block])
 
         if depth:
-            descend(self.profile.states, 0, 0)
+            descend(self.profile.states, 0, np.zeros(1, dtype=np.int64))
         return [y.reshape((B,) * k) for k, y in enumerate(ys)]
 
 

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from blochobs.cli import main
+from blochobs.cli import main, parse_phi
+from blochobs.polynomials import Poly
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -74,6 +77,62 @@ def test_identities_pinned_sha256(tmp_path, n):
     out = tmp_path / "identity.json"
     assert main(["identities", "--degree", str(n), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == IDENTITY_SHA256[n]
+
+
+TRUTH = {
+    "profile": {"kind": "angles", "theta": [0.8, 0.5, 0.3], "phi": [0.2, 0.9, -0.4]},
+    "density": {"kind": "gaussian", "center": [0.5, 1.0], "widths": [0.6, 0.6]},
+}
+# The same angle maps for -x(sigma): theta -> pi - theta, phi -> phi + pi.
+ANTIPODE = {
+    "profile": {
+        "kind": "angles",
+        "theta": [math.pi - 0.8, -0.5, -0.3],
+        "phi": [0.2 + math.pi, 0.9, -0.4],
+    },
+    "density": TRUTH["density"],
+}
+
+# sha256 of the output bytes of small equivalence and measured-moments runs,
+# recorded before the two pairs of a trial shared one simulation pass and
+# before the prefix tree shared its rotation plans.  x3 is odd, so the
+# antipodal pair is distinguished; x1x2 is even, so it is equivalent so far,
+# here on a grid of 576 nodes, more than half a simulation block.
+PINNED_RUNS = {
+    "equivalence-x3": (
+        ["equivalence"],
+        {"phi": {"degree": 1, "named": "x3"}, "grid": 5},
+        "a5e115152760a531a4c085f5b959861e803951910a947a521fb45f6278313519",
+    ),
+    "equivalence-x1x2": (
+        ["equivalence"],
+        {"phi": {"degree": 2, "named": "x1x2"}, "grid": 24},
+        "3f749c629b2c21205a79b9743e55cf560c56d83674a2e7e25aef5d06af51a97f",
+    ),
+    "measured-moments-x3": (
+        ["reconstruct", "--mode", "measured-moments"],
+        {"phi": {"degree": 1, "named": "x3"}, "grid": 3},
+        "10bbd333f300fdcf0b93178f6054e187b8226302d380ee4e9f361ef189f65a27",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_runs_pinned_sha256(tmp_path, name):
+    command, setup, digest = PINNED_RUNS[name]
+    cfg = {
+        "box": {"a1": 0.0, "b1": 1.0, "a2": 0.5, "b2": 1.5},
+        "grid": {"n1": setup["grid"], "n2": setup["grid"]},
+        "phi": setup["phi"],
+    }
+    if command[0] == "equivalence":
+        cfg.update(pair_a=TRUTH, pair_b=ANTIPODE, trials=4, tol=1e-9, seed=3)
+    else:
+        cfg.update(truth=TRUTH, reconstruction={"D": 1, "fd_word_cap": 5})
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out.json"
+    assert main(command[:1] + ["--config", path] + command[1:] + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_identities_usage_error():
@@ -457,6 +516,64 @@ def test_reconstruct_seed_key_rejected(tmp_path):
 def test_addition_check():
     assert main(["addition-check", "--degree", "3", "--samples", "50"]) == 0
     assert main(["addition-check", "--degree", "2", "--tol", "1e-30"]) == 1
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--samples", "0"],
+        ["--samples", "-3"],
+        ["--tol", "nan"],
+        ["--tol", "inf"],
+        ["--tol=-1e-10"],
+    ],
+    ids=["no-samples", "negative-samples", "nan-tol", "inf-tol", "negative-tol"],
+)
+def test_addition_check_rejects_meaningless_settings(flags, capsys):
+    """No samples gave a residual of 0 and exit 0, and a NaN tolerance exit 1
+    as if the computation had failed."""
+    assert main(["addition-check", "--degree", "2"] + flags) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_addition_theorem_residual_needs_samples():
+    from blochobs.identities import addition_theorem_residual
+
+    with pytest.raises(ValueError):
+        addition_theorem_residual(2, sample_count=0)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (1e-12, Fraction(1e-12)),
+        (3e-10, Fraction(3e-10)),
+        (0.1, Fraction(1, 10)),
+        (0.3333333333333333, Fraction(1, 3)),
+    ],
+    ids=["1e-12", "3e-10", "0.1", "1/3"],
+)
+def test_phi_coefficients_are_exact(value, expected):
+    """limit_denominator(10**9) alone dropped coefficients below about 1e-9
+    without a word; a value is now kept exactly unless a fraction with a
+    denominator of at most 10**9 rounds back to it."""
+    phi = parse_phi({"degree": 2, "coefficients": [[[1, 1, 0], 1], [[1, 0, 1], value]]})
+    assert phi == Poly({(1, 1, 0): 1, (1, 0, 1): expected})
+    assert float(expected) == value
+
+
+def test_phi_small_inharmonic_term_rejected(tmp_path):
+    """x1^2 - x2^2 + 1e-12 x3^2 is not harmonic; it used to parse as the
+    harmonic x1^2 - x2^2."""
+    cfg = base_config()
+    cfg["phi"] = {
+        "degree": 2,
+        "coefficients": [[[2, 0, 0], 1], [[0, 2, 0], -1], [[0, 0, 2], 1e-12]],
+    }
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_missing_config_file(tmp_path):

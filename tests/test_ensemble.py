@@ -291,6 +291,61 @@ def test_compile_phi_rejects_complex():
         compile_phi(X1.scale(CRational(0, 1)))
 
 
+def _compile_phi_tables(phi):
+    """The evaluator with a ones array and per-axis power tables, kept as the
+    bit reference."""
+    items = phi.sorted_terms()
+    exps = np.array([e for e, _ in items], dtype=np.int64).reshape(-1, 3)
+    coeffs = np.array([float(c.re) for _, c in items])
+    maxes = exps.max(axis=0) if len(items) else np.zeros(3, dtype=np.int64)
+
+    def evaluate(states):
+        if exps.shape[0] == 0:
+            return np.zeros(states.shape[0])
+        term_vals = np.ones((states.shape[0], exps.shape[0]))
+        for d in range(3):
+            if maxes[d] == 0:
+                continue
+            table = np.empty((states.shape[0], maxes[d] + 1))
+            table[:, 0] = 1.0
+            for e in range(1, maxes[d] + 1):
+                table[:, e] = table[:, e - 1] * states[:, d]
+            term_vals *= table[:, exps[:, d]]
+        return term_vals @ coeffs
+
+    return evaluate
+
+
+@pytest.mark.parametrize(
+    "phi",
+    [
+        X3,
+        X1 * X2,
+        X1 * X2 * X3,
+        X1**6 - 15 * X1**4 * X2**2 + 15 * X1**2 * X2**4 - X2**6,
+        X1**3 * X3 - 2 * X2 * X3**4 + X2**2 + Poly.constant(3),
+        Poly.constant(3),
+        Poly.zero(),
+    ],
+    ids=["x3", "x1x2", "x1x2x3", "re-w6", "mixed-with-constant", "constant", "zero-poly"],
+)
+def test_compile_phi_matches_power_tables(phi):
+    """Terms built in place give the bits of the power-table evaluator, on
+    C-ordered rows and on the transposed column buffers that simulate's
+    samples yield, whose unread columns hold NaN."""
+    grid = make_grid(SYM_BOX, 5, 4)
+    smooth = angles_profile(grid, (0.7, 0.2, 0.1), (0.0, 0.9, 0.4)).states
+    rows = np.concatenate([smooth, -np.eye(3), np.zeros((1, 3))])
+    reads = [d for d in range(3) if any(e[d] for e, _ in phi.sorted_terms())]
+    columns = np.full((3, len(rows)), np.nan)
+    columns[reads] = rows.T[reads]
+    for states in (rows, columns.T):
+        got = compile_phi(phi)(states)
+        expected = _compile_phi_tables(phi)(states)
+        assert got.shape == (len(rows),)
+        assert np.array_equal(got, expected)
+
+
 def test_table_profile_rejects_nan_row():
     grid = make_grid(BOX, 2, 2)
     rows = [[0.0, 0.0, 1.0]] * 3 + [[float("nan"), 0.0, 1.0]]
@@ -464,6 +519,63 @@ def test_rotation_samples_match_calls(block, monkeypatch):
                     assert np.array_equal(got[:, d], expected[:, d])
                 else:
                     assert np.all(np.isnan(got[:, d]))
+
+
+def _equiv_test_reference(pair_a, pair_b, grid, phi, trials, seed, tol, dt=0.05):
+    """Two simulate calls per trial, kept as the reference for the one-pass
+    pair simulation."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for trial in range(trials):
+        schedule = ensemble.random_schedule(rng)
+        tr_a = simulate(pair_a[0], grid, pair_a[1], schedule, phi, dt)
+        tr_b = simulate(pair_b[0], grid, pair_b[1], schedule, phi, dt)
+        gaps = np.abs(tr_a.values - tr_b.values)
+        exceeding = np.nonzero(gaps > tol)[0]
+        if exceeding.size:
+            idx = int(exceeding[0])
+            return ("distinguished", float(gaps[idx]), float(tr_a.times[idx]), trial, schedule)
+        worst = max(worst, float(gaps.max()))
+    return ("equivalent-so-far", worst, None, None, None)
+
+
+@pytest.mark.parametrize(
+    "phi, n, tol",
+    [
+        (X3, 4, 1e-9),
+        (X3, 4, 10.0),
+        (X1 * X2, 4, 1e-9),
+        (X3, 23, 1e-9),
+        (X1 * X2, 23, 1e-9),
+    ],
+    ids=["x3-distinguished", "x3-large-tol", "x1x2-antipodal", "x3-529-nodes", "x1x2-529-nodes"],
+)
+def test_equivalence_matches_two_simulations(phi, n, tol):
+    """Both pairs in one pass give the verdict of two simulate calls per
+    trial, bit for bit, also on a grid of more than half a block of nodes.
+    The antipode is built from the angle maps, so x1x2's gaps are roundoff,
+    not exact zeros; for x3 the second pair also has its own density."""
+    grid = make_grid(BOX, n, n)
+    assert n == 4 or 2 * grid.size > ensemble._BLOCK  # then one sample per block
+    pair_a = (
+        angles_profile(grid, (0.8, 0.5, 0.3), (0.2, 0.9, -0.4)),
+        gaussian_density(grid, (0.5, 1.0), (0.6, 0.6)),
+    )
+    antipode = angles_profile(grid, (math.pi - 0.8, -0.5, -0.3), (0.2 + math.pi, 0.9, -0.4))
+    pair_b = (antipode, gaussian_density(grid, (0.45, 1.05), (0.6, 0.6)) if phi == X3 else pair_a[1])
+    schedule = ensemble.random_schedule(np.random.default_rng(5))
+    times, values = ensemble._simulate_pairs([pair_a, pair_b], grid, schedule, phi, 0.05)
+    for (profile, density), got in zip((pair_a, pair_b), values):
+        trace = simulate(profile, grid, density, schedule, phi, 0.05)
+        assert np.array_equal(times, trace.times) and np.array_equal(got, trace.values)
+    verdict = output_equiv_test(pair_a, pair_b, grid, phi, trials=3, seed=5, tol=tol)
+    kind, gap, time, trial, schedule = _equiv_test_reference(
+        pair_a, pair_b, grid, phi, trials=3, seed=5, tol=tol
+    )
+    assert (verdict.kind, verdict.gap, verdict.time, verdict.trial) == (kind, gap, time, trial)
+    assert verdict.schedule == schedule
+    assert (kind == "distinguished") == (phi == X3 and tol < 1)
+    assert gap > 0
 
 
 def test_simulate_rejects_nan_dt():

@@ -206,18 +206,39 @@ def test_measured_word_moments_rotate_each_tree_edge_once(monkeypatch):
     truth = smooth_truth(grid)
     sim = OutputSimulator(truth[0], grid, truth[1])
     rows = []
-    rotate = reconstruction.rotate_states
+    rotate = reconstruction.rotate_planned
 
     def counting(states, *args):
         rows.append(states.shape[0])
         return rotate(states, *args)
 
-    monkeypatch.setattr(reconstruction, "rotate_states", counting)
+    monkeypatch.setattr(reconstruction, "rotate_planned", counting)
     monkeypatch.setattr(OutputSimulator, "_BLOCK", 40)
     measured_word_moments(sim, X3, 4, 1e-2)
     assert len(rows) < 1000
     assert max(rows) <= 40
     assert sum(rows) == 2 * grid.size * sum(6**k for k in range(1, 5))
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_output_tree_plans_each_segment_once(depth, monkeypatch):
+    """One rotation plan per segment choice and step size, whatever the depth
+    and however many blocks a level splits into; each plan is tiled to the
+    block, here 4 node sets of the 9-node grid."""
+    grid = make_grid(BOX, 3, 3)
+    truth = smooth_truth(grid)
+    sim = OutputSimulator(truth[0], grid, truth[1])
+    builds = []
+    plan = reconstruction.RotationPlan
+
+    def counting(omega, *args):
+        builds.append(omega.shape[0])
+        return plan(omega, *args)
+
+    monkeypatch.setattr(reconstruction, "RotationPlan", counting)
+    monkeypatch.setattr(OutputSimulator, "_BLOCK", 40)
+    measured_word_moments(sim, X3, depth, 1e-2)
+    assert builds == [4 * grid.size] * (2 * 6)
 
 
 def test_measured_moment_table_low_order():
