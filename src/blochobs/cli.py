@@ -378,7 +378,10 @@ def cmd_equivalence(args) -> int:
     dt = _number(cfg.get("dt", 0.05), "config.dt")
     if dt <= 0:
         raise ConfigError("config.dt: must be positive")
-    seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 0), "config.seed")
+    field = "--seed" if args.seed is not None else "config.seed"
+    seed = args.seed if args.seed is not None else _integer(cfg.get("seed", 0), field)
+    if seed < 0:
+        raise ConfigError(f"{field}: must be nonnegative")
     verdict = ens.output_equiv_test(pairs[0], pairs[1], grid, phi, trials, seed, tol, dt)
     payload = {
         "verdict": verdict.kind,
@@ -413,14 +416,11 @@ def cmd_reconstruct(args) -> int:
     profile = parse_profile(cfg["truth"]["profile"], grid, "config.truth.profile")
     density = parse_density(cfg["truth"]["density"], grid, "config.truth.density")
     rc = cfg.get("reconstruction", {})
-    _require_keys(
-        rc, {"D", "ridge", "rho_floor", "fd_step", "fd_word_cap"}, set(), "config.reconstruction"
-    )
+    _require_keys(rc, {"D", "rho_floor", "fd_step", "fd_word_cap"}, set(), "config.reconstruction")
     try:
         config = ReconstructionConfig(
             mode=args.mode,
             D=_integer(rc.get("D", 6), "config.reconstruction.D"),
-            ridge=_number(rc.get("ridge", 1e-10), "config.reconstruction.ridge"),
             rho_floor=_number(rc.get("rho_floor", 1e-6), "config.reconstruction.rho_floor"),
             fd_step=_number(rc.get("fd_step", 1e-2), "config.reconstruction.fd_step"),
             fd_word_cap=_integer(rc.get("fd_word_cap", 4), "config.reconstruction.fd_word_cap"),
@@ -447,20 +447,19 @@ def cmd_reconstruct(args) -> int:
         use_flip = result.ambiguity == "antipodal-pair" and float(
             np.nansum(flipped)
         ) < float(np.nansum(direct))
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write("sigma1,sigma2,rho_true,rho_est,angle_error_rad\n")
-            for j in range(grid.size):
-                if j in undefined:
-                    angle = float("nan")
-                else:
-                    x = -est[j] if use_flip else est[j]
-                    dot = min(1.0, max(-1.0, float(np.dot(x, profile.states[j]))))
-                    angle = math.acos(dot)
-                fh.write(
-                    f"{grid.nodes[j, 0]:.17g},{grid.nodes[j, 1]:.17g},"
-                    f"{density.values[j]:.17g},{result.density_est.values[j]:.17g},"
-                    f"{angle:.17g}\n"
-                )
+        if use_flip:
+            est = -est
+        # math.acos per node, so the angle bits do not depend on numpy's SIMD arccos.
+        angles = np.full(grid.size, np.nan)
+        for j in range(grid.size):
+            if j not in undefined:
+                dot = float(np.dot(est[j], profile.states[j]))
+                angles[j] = math.acos(min(1.0, max(-1.0, dot)))
+        ens._write_csv(
+            args.report,
+            ("sigma1", "sigma2", "rho_true", "rho_est", "angle_error_rad"),
+            (grid.nodes, density.values, result.density_est.values, angles),
+        )
     return 0
 
 
@@ -473,6 +472,9 @@ def cmd_addition_check(args) -> int:
         return 2
     if not 0 <= args.tol < math.inf:  # NaN fails too
         print("addition-check: --tol must be finite and nonnegative", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print("addition-check: --seed must be >= 0", file=sys.stderr)
         return 2
     residual = addition_theorem_residual(args.degree, args.samples, args.seed)
     print(f"degree {args.degree}: max residual {residual:.3e} over {args.samples} samples")

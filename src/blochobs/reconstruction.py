@@ -94,7 +94,6 @@ class PsiSamples:
 class ReconstructionConfig:
     mode: str = "oracle-psi"  # oracle-psi | oracle-moments | measured-moments
     D: int = 6
-    ridge: float = 1e-10
     rho_floor: float = 1e-6  # relative to max recovered density
     fd_step: float = 1e-2
     fd_word_cap: int = 4
@@ -102,10 +101,10 @@ class ReconstructionConfig:
     def __post_init__(self):
         if self.mode not in ("oracle-psi", "oracle-moments", "measured-moments"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.D < 0 or self.ridge < 0 or self.rho_floor <= 0 or self.fd_step <= 0:
+        if self.D < 0 or self.rho_floor <= 0 or self.fd_step <= 0:
             raise ValueError("invalid reconstruction configuration")
-        if not all(map(math.isfinite, (self.ridge, self.rho_floor, self.fd_step))):
-            raise ValueError("ridge, rho_floor and fd_step must be finite")
+        if not all(map(math.isfinite, (self.rho_floor, self.fd_step))):
+            raise ValueError("rho_floor and fd_step must be finite")
         if self.fd_word_cap < 0:
             raise ValueError("fd_word_cap must be nonnegative")
 
@@ -409,6 +408,7 @@ class FeatureBasis:
         self._gram_float = np.array([[float(g) for g in r] for r in gram])
         self._orth = np.array(rows)
         self._sqrt_norms = np.sqrt(np.array(pivots))
+        self.min_pivot = min(pivots)
         self._exps = np.array(exps)
 
     @property
@@ -417,9 +417,6 @@ class FeatureBasis:
 
     def gram_condition(self) -> float:
         return float(np.linalg.cond(self._gram_float))
-
-    def gram_min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self._gram_float).min())
 
     def raw_values(self, nodes: np.ndarray) -> np.ndarray:
         s1 = nodes[:, 0][:, None] ** self._exps[:, 0][None, :]
@@ -443,17 +440,14 @@ def _feature_basis(box: ParameterBox, D: int) -> FeatureBasis:
     return FeatureBasis(box, D)
 
 
-def fit_psi(
-    table: MomentTable, grid: ParameterGrid, i: int, D: int, ridge: float
-) -> tuple[np.ndarray, float]:
-    """The fitted expansion of psi_i on the grid nodes, and its fit residual."""
-    fb = _feature_basis(grid.box, D)
+def fit_psi(table: MomentTable, grid: ParameterGrid, i: int) -> np.ndarray:
+    """The fitted expansion of psi_i, to degree ``table.D``, on the grid nodes."""
+    fb = _feature_basis(grid.box, table.D)
     try:
         raw = np.array([table.entries[(i, a, b)] for a, b in fb.pairs])
     except KeyError as exc:
-        raise ValueError(f"moment table does not cover index {i} up to D={D}") from exc
-    w = fb.solve(raw, ridge)
-    return fb.raw_values(grid.nodes) @ w, fb.fit_residual(w, raw)
+        raise ValueError(f"moment table does not cover index {i} up to D={table.D}") from exc
+    return fb.raw_values(grid.nodes) @ fb.solve(raw, 0.0)
 
 
 # --- pointwise recovery -----------------------------------------------------
@@ -726,12 +720,9 @@ def reconstruct(
             )
         fb = _feature_basis(grid.box, config.D)
         diagnostics["gram_condition"] = fb.gram_condition()
-        diagnostics["gram_min_eigenvalue"] = fb.gram_min_eigenvalue()
-        rows, residuals = zip(
-            *(fit_psi(table, grid, i, config.D, config.ridge) for i in range(len(words)))
-        )
+        diagnostics["gram_min_pivot"] = fb.min_pivot
+        rows = [fit_psi(table, grid, i) for i in range(len(words))]
         psi = PsiSamples(np.array(rows), table.provenance)
-        diagnostics["fit_residuals"] = list(residuals)
 
     density, undefined = _stage(
         "density", recover_density, psi, identity, kappas, grid, config.rho_floor
@@ -745,12 +736,8 @@ def reconstruct(
     defined = np.ones(grid.size, dtype=bool)
     defined[list(undefined)] = False
     states = np.full((grid.size, 3), np.nan)
-    diagnostics["identity_max_residual"] = float("nan")
     diagnostics["inversion_max_residual"] = 0.0
     if defined.any():
-        C = np.array([[float(c) for c in row] for row in identity.coeffs])
-        q = np.einsum("ij,in,jn->n", C, values[:, defined], values[:, defined])
-        diagnostics["identity_max_residual"] = float(np.max(np.abs(q - 1.0)))
         inverter = PointInverter(identity.basis).invert_with_residual
         points, _, residuals = _stage("point-inversion", inverter, values[:, defined])
         states[defined] = points

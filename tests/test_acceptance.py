@@ -277,7 +277,7 @@ def test_criterion_08_oracle_moments_density():
     grid = make_grid(BOX, 16, 16)
     profile = angles_profile(grid, (0.9, 0.05, 0.20), (0.3, 0.05, -0.25))
     density = gaussian_density(grid, (0.5, 1.0), (4.0, 1.5))
-    cfg = ReconstructionConfig("oracle-moments", D=6, ridge=1e-10)
+    cfg = ReconstructionConfig("oracle-moments", D=6)
     res = reconstruct(X3, grid, profile, density, cfg)
     num = math.sqrt(
         float(np.dot(grid.weights, (res.density_est.values - density.values) ** 2))

@@ -4,10 +4,13 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from blochobs import ensemble as ens
 from blochobs.cli import main, parse_phi
 from blochobs.polynomials import Poly
+from blochobs.reconstruction import ReconstructionConfig, reconstruct
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -97,7 +100,11 @@ ANTIPODE = {
 # recorded before the two pairs of a trial shared one simulation pass and
 # before the prefix tree shared its rotation plans.  x3 is odd, so the
 # antipodal pair is distinguished; x1x2 is even, so it is equivalent so far,
-# here on a grid of 576 nodes, more than half a simulation block.
+# here on a grid of 576 nodes, more than half a simulation block.  The
+# measured-moments pin was re-recorded when the ridge setting and three
+# diagnostics went: its bytes are the earlier run with "ridge": 0.0, less the
+# fit_residuals, identity_max_residual and gram_min_eigenvalue keys, plus
+# gram_min_pivot.
 PINNED_RUNS = {
     "equivalence-x3": (
         ["equivalence"],
@@ -112,7 +119,7 @@ PINNED_RUNS = {
     "measured-moments-x3": (
         ["reconstruct", "--mode", "measured-moments"],
         {"phi": {"degree": 1, "named": "x3"}, "grid": 3},
-        "10bbd333f300fdcf0b93178f6054e187b8226302d380ee4e9f361ef189f65a27",
+        "e89d2e2e33e5d3b181db91f773af7f5fc0bbf9f8e56091a224b2ddd7c3f7ed6f",
     ),
 }
 
@@ -456,12 +463,11 @@ def test_reconstruct_measured_cap_error(tmp_path):
     [
         ("fd_step", float("nan")),
         ("fd_step", float("inf")),
-        ("ridge", float("inf")),
         ("rho_floor", float("nan")),
         ("fd_step", 10**400),
         ("fd_word_cap", -1),
     ],
-    ids=["fd_step-nan", "fd_step-inf", "ridge-inf", "rho_floor-nan", "fd_step-huge-int", "cap-negative"],
+    ids=["fd_step-nan", "fd_step-inf", "rho_floor-nan", "fd_step-huge-int", "cap-negative"],
 )
 def test_reconstruct_rejects_non_finite_and_negative_cap(tmp_path, key, value):
     cfg = reconstruct_config()
@@ -471,6 +477,117 @@ def test_reconstruct_rejects_non_finite_and_negative_cap(tmp_path, key, value):
     code = main(["reconstruct", "--config", path, "--mode", "measured-moments", "--out", str(out)])
     assert code == 2
     assert not out.exists()
+
+
+def test_reconstruct_rejects_ridge_as_unknown_key(tmp_path, capsys):
+    """ridge only scaled every fitted psi_i by 1/(1+ridge), which scales rho
+    and leaves the profile unchanged; it is no longer a setting."""
+    cfg = reconstruct_config()
+    cfg["reconstruction"] = {"ridge": 0.0}
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "r.json"
+    assert main(["reconstruct", "--config", path, "--mode", "oracle-psi", "--out", str(out)]) == 2
+    assert "unknown keys ['ridge']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+ZERO = {"kind": "uniform", "value": 0.0}
+MODES = ["oracle-psi", "oracle-moments", "measured-moments"]
+# x1x2 with a nonzero density aborts in point-inversion in the moment modes.
+RECONSTRUCT_CASES = [(mode, "x3", TRUTH["density"]) for mode in MODES] + [
+    (mode, phi, ZERO) for mode in MODES for phi in ("x3", "x1x2")
+] + [("oracle-psi", "x1x2", TRUTH["density"])]
+
+
+@pytest.mark.parametrize(
+    "mode, phi, density",
+    RECONSTRUCT_CASES,
+    ids=[f"{m}-{p}-{'zero' if d is ZERO else 'gaussian'}" for m, p, d in RECONSTRUCT_CASES],
+)
+def test_reconstruct_output_is_strict_json_with_exact_diagnostics(tmp_path, mode, phi, density):
+    """A zero density used to write "identity_max_residual": NaN, which is not JSON."""
+    cfg = {
+        "box": {"a1": 0.0, "b1": 1.0, "a2": 0.5, "b2": 1.5},
+        "grid": {"n1": 4, "n2": 4},
+        "phi": {"degree": 2 if phi == "x1x2" else 1, "named": phi},
+        "truth": {"profile": TRUTH["profile"], "density": density},
+        "reconstruction": {"D": 0},
+    }
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "r.json"
+    assert main(["reconstruct", "--config", path, "--mode", mode, "--out", str(out)]) == 0
+    result = json.loads(out.read_text(), parse_constant=_reject_constant)
+    expected = {"mode", "words", "undefined_count", "inversion_max_residual"}
+    if phi == "x1x2":
+        expected.add("stitch_components")
+    if mode != "oracle-psi":
+        expected |= {"gram_condition", "gram_min_pivot"}
+    assert set(result["diagnostics"]) == expected
+    assert len(result["undefined_nodes"]) == (16 if density is ZERO else 0)
+
+
+def _old_report(path, grid, density, result, profile):
+    """The per-node writer that --report used before it shared ensemble._write_csv."""
+    undefined = set(result.undefined_nodes)
+    est = result.profile_est.states
+    direct = np.linalg.norm(est - profile.states, axis=1)
+    flipped = np.linalg.norm(est + profile.states, axis=1)
+    use_flip = result.ambiguity == "antipodal-pair" and float(
+        np.nansum(flipped)
+    ) < float(np.nansum(direct))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("sigma1,sigma2,rho_true,rho_est,angle_error_rad\n")
+        for j in range(grid.size):
+            if j in undefined:
+                angle = float("nan")
+            else:
+                x = -est[j] if use_flip else est[j]
+                dot = min(1.0, max(-1.0, float(np.dot(x, profile.states[j]))))
+                angle = math.acos(dot)
+            fh.write(
+                f"{grid.nodes[j, 0]:.17g},{grid.nodes[j, 1]:.17g},"
+                f"{density.values[j]:.17g},{result.density_est.values[j]:.17g},"
+                f"{angle:.17g}\n"
+            )
+    return use_flip
+
+
+def test_reconstruct_report_matches_per_node_writer(tmp_path):
+    """17 x 17 nodes span two CSV blocks, the second one partial; every
+    seventh node has zero density and is undefined; the antipodal truths make
+    the report flip the estimate in one of the two runs."""
+    grid = ens.make_grid(ens.ParameterBox(0.0, 1.0, 0.5, 1.5), 17, 17)
+    assert grid.size > ens._CSV_BLOCK and grid.size % ens._CSV_BLOCK
+    values = [0.0 if j % 7 == 0 else 1.0 + 0.01 * j for j in range(grid.size)]
+    flips = set()
+    for truth in (TRUTH, ANTIPODE):
+        cfg = {
+            "box": {"a1": 0.0, "b1": 1.0, "a2": 0.5, "b2": 1.5},
+            "grid": {"n1": 17, "n2": 17},
+            "phi": {"degree": 2, "named": "x1x2"},
+            "truth": {"profile": truth["profile"], "density": {"kind": "table", "values": values}},
+        }
+        path = write_config(tmp_path, cfg)
+        report = tmp_path / "report.csv"
+        assert main(
+            ["reconstruct", "--config", path, "--mode", "oracle-psi", "--out",
+             str(tmp_path / "r.json"), "--report", str(report)]
+        ) == 0
+        p = truth["profile"]
+        profile = ens.angles_profile(grid, p["theta"], p["phi"])
+        density = ens.table_density(grid, values)
+        result = reconstruct(
+            parse_phi(cfg["phi"]), grid, profile, density, ReconstructionConfig("oracle-psi")
+        )
+        assert len(result.undefined_nodes) == len(values[::7])
+        reference = tmp_path / "reference.csv"
+        flips.add(_old_report(reference, grid, density, result, profile))
+        assert report.read_bytes() == reference.read_bytes()
+    assert flips == {False, True}
 
 
 def test_reconstruct_rejects_constant_phi(tmp_path):
@@ -511,6 +628,37 @@ def test_reconstruct_seed_key_rejected(tmp_path):
          str(tmp_path / "r.json")]
     )
     assert code == 2
+
+
+NEGATIVE_SEEDS = {
+    "equivalence-config": ([], {"seed": -1}, "config.seed"),
+    "equivalence-flag": (["--seed", "-1"], {}, "--seed"),
+    "addition-check-flag": (None, None, "--seed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_SEEDS))
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, name):
+    """numpy rejects a negative seed, which used to exit 1 with its message."""
+    flags, extra, field = NEGATIVE_SEEDS[name]
+    if flags is None:
+        code = main(["addition-check", "--degree", "2", "--seed", "-1"])
+    else:
+        cfg = {
+            "box": {"a1": 0.0, "b1": 1.0, "a2": 0.5, "b2": 1.5},
+            "grid": {"n1": 3, "n2": 3},
+            "phi": {"degree": 1, "named": "x3"},
+            "pair_a": TRUTH,
+            "pair_b": ANTIPODE,
+            "trials": 2,
+            "tol": 1e-9,
+            **extra,
+        }
+        path = write_config(tmp_path, cfg)
+        code = main(["equivalence", "--config", path, "--out", str(tmp_path / "v.json")] + flags)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert field in captured.err and captured.out == ""
 
 
 def test_addition_check():

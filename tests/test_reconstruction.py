@@ -21,6 +21,7 @@ from blochobs.identities import (
     real_harmonic_basis,
 )
 from blochobs import reconstruction
+from blochobs.exactlinalg import certified_gram_schmidt
 from blochobs.polynomials import Poly, X1, X2, X3
 from blochobs.reconstruction import (
     _CHOICES,
@@ -33,6 +34,7 @@ from blochobs.reconstruction import (
     StageError,
     WordTooLongError,
     _feature_basis,
+    _feature_gram,
     fit_psi,
     measured_moment_table,
     measured_moments,
@@ -272,7 +274,7 @@ def test_fit_psi_constant_exact():
         for a, b in fb.pairs
     }
     table = MomentTable(entries, 2, "oracle")
-    samples, _ = fit_psi(table, grid, 0, 2, ridge=0.0)
+    samples = fit_psi(table, grid, 0)
     np.testing.assert_allclose(samples, np.ones(grid.size), atol=1e-10)
 
 
@@ -288,7 +290,7 @@ def test_fit_psi_feature_exact():
         for a, b in fb.pairs
     }
     table = MomentTable(entries, D, "oracle")
-    samples, _ = fit_psi(table, grid, 0, D, ridge=0.0)
+    samples = fit_psi(table, grid, 0)
     np.testing.assert_allclose(samples, target, atol=1e-9)
 
 
@@ -305,16 +307,21 @@ def test_fit_psi_sin_improves_with_degree():
             for a, b in fb.pairs
         }
         table = MomentTable(entries, D, "oracle")
-        samples, _ = fit_psi(table, grid, 0, D, ridge=1e-12)
+        samples = fit_psi(table, grid, 0)
         err = math.sqrt(float(np.dot(grid.weights, (samples - target) ** 2)))
         errors.append(err)
     assert errors[0] > errors[1] > errors[2]
 
 
-def test_gram_matrix_psd_and_condition():
-    fb = _feature_basis(BOX, 6)
-    assert fb.gram_min_eigenvalue() >= -1e-12
-    assert fb.gram_condition() > 1.0
+def test_gram_min_pivot_is_the_smallest_certified_pivot():
+    grid = make_grid(BOX, 12, 12)
+    profile, density = smooth_truth(grid)
+    cfg = ReconstructionConfig("oracle-moments", D=6)
+    pivot = reconstruct(X3, grid, profile, density, cfg).diagnostics["gram_min_pivot"]
+    exps = [(a, 2 * a + 4 * b) for a, b in _feature_basis(BOX, 6).pairs]
+    _, pivots = certified_gram_schmidt(_feature_gram(BOX, exps))
+    assert pivot > 0
+    assert pivot == min(pivots)
 
 
 def test_recover_density_exact_n1():
@@ -579,7 +586,7 @@ def gentle_truth(grid):
 def test_reconstruct_oracle_moments_n1():
     grid = make_grid(BOX, 12, 12)
     profile, density = gentle_truth(grid)
-    cfg = ReconstructionConfig("oracle-moments", D=6, ridge=1e-10)
+    cfg = ReconstructionConfig("oracle-moments", D=6)
     result = reconstruct(X3, grid, profile, density, cfg)
     num = math.sqrt(
         float(np.dot(grid.weights, (result.density_est.values - density.values) ** 2))
@@ -590,9 +597,9 @@ def test_reconstruct_oracle_moments_n1():
 
 
 def test_reconstruct_oracle_moments_d8_improves_on_d6():
-    """The exact Gram-Schmidt certificate is the PD gate; the float smallest
-    eigenvalue of the raw Gram matrix, which roundoff makes negative at D=8,
-    is only a diagnostic."""
+    """The exact Gram-Schmidt certificate is the PD gate, so D=8 runs although
+    roundoff makes the float smallest eigenvalue of the raw Gram matrix
+    negative there."""
     grid = make_grid(BOX, 16, 16)
     profile, density = smooth_truth(grid)
     errors = []
@@ -698,8 +705,8 @@ def test_reconstruction_config_validation():
     [
         {"fd_step": math.nan},
         {"fd_step": math.inf},
-        {"ridge": math.nan},
-        {"ridge": math.inf},
+        {"D": -1},
+        {"fd_step": 0.0},
         {"rho_floor": math.nan},
         {"rho_floor": math.inf},
         {"fd_word_cap": -1},
