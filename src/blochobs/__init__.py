@@ -55,7 +55,6 @@ from .ensemble import (
     make_grid,
     output,
     output_equiv_test,
-    rotation_step,
     simulate,
     uniform_density,
 )
@@ -64,11 +63,9 @@ from .reconstruction import (
     MomentTable,
     OutputSimulator,
     PointInverter,
-    PsiSamples,
     ReconstructionConfig,
     ReconstructionResult,
     fit_psi,
-    measured_moments,
     oracle_moments,
     reconstruct,
     recover_density,

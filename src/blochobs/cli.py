@@ -204,6 +204,15 @@ def parse_profile(obj, grid: ens.ParameterGrid, path="profile") -> ens.Profile:
     raise ConfigError(f"{path}.kind: expected constant, angles, or table")
 
 
+def parse_pair(obj, grid: ens.ParameterGrid, path: str) -> tuple[ens.Profile, ens.Density]:
+    """A hidden {profile, density} pair."""
+    _require_keys(obj, {"profile", "density"}, {"profile", "density"}, path)
+    return (
+        parse_profile(obj["profile"], grid, f"{path}.profile"),
+        parse_density(obj["density"], grid, f"{path}.density"),
+    )
+
+
 def parse_schedule(obj, path="schedule") -> ens.ControlSchedule:
     if not isinstance(obj, list):
         raise ConfigError(f"{path}: expected a list of [tau, u1, u2]")
@@ -360,15 +369,7 @@ def cmd_equivalence(args) -> int:
     box = parse_box(cfg["box"])
     grid = parse_grid(cfg["grid"], box)
     phi = parse_phi(cfg["phi"])
-    pairs = []
-    for key in ("pair_a", "pair_b"):
-        _require_keys(cfg[key], {"profile", "density"}, {"profile", "density"}, f"config.{key}")
-        pairs.append(
-            (
-                parse_profile(cfg[key]["profile"], grid, f"config.{key}.profile"),
-                parse_density(cfg[key]["density"], grid, f"config.{key}.density"),
-            )
-        )
+    pairs = [parse_pair(cfg[key], grid, f"config.{key}") for key in ("pair_a", "pair_b")]
     trials = _integer(cfg["trials"], "config.trials")
     if trials < 1:
         raise ConfigError("config.trials: must be at least 1")
@@ -412,9 +413,7 @@ def cmd_reconstruct(args) -> int:
     phi = parse_phi(cfg["phi"])
     if phi.homogeneous_degree < 1:
         raise ConfigError("config.phi: reconstruct needs an observable of degree >= 1")
-    _require_keys(cfg["truth"], {"profile", "density"}, {"profile", "density"}, "config.truth")
-    profile = parse_profile(cfg["truth"]["profile"], grid, "config.truth.profile")
-    density = parse_density(cfg["truth"]["density"], grid, "config.truth.density")
+    profile, density = parse_pair(cfg["truth"], grid, "config.truth")
     rc = cfg.get("reconstruction", {})
     _require_keys(rc, {"D", "rho_floor", "fd_step", "fd_word_cap"}, set(), "config.reconstruction")
     try:

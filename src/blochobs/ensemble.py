@@ -42,6 +42,8 @@ class ParameterBox:
             raise ValueError("need a1 < b1")
         if not 0 < self.a2 < self.b2:
             raise ValueError("need 0 < a2 < b2")
+        if not all(map(math.isfinite, (self.a1, self.b1, self.a2, self.b2))):
+            raise ValueError("box bounds must be finite")
 
     @property
     def area(self) -> float:
@@ -337,15 +339,6 @@ def rotate_states(
     states: np.ndarray, sigmas: np.ndarray, u: Sequence[float], tau: float
 ) -> np.ndarray:
     return _rotation(states, segment_axis(sigmas, u))(tau)
-
-
-def rotation_step(
-    x: Sequence[float], sigma: Sequence[float], u: Sequence[float], tau: float
-) -> np.ndarray:
-    """Closed-form flow of one state for one constant-control segment."""
-    states = np.asarray(x, dtype=float)[None, :]
-    sig = np.asarray(sigma, dtype=float)[None, :]
-    return rotate_states(states, sig, u, tau)[0]
 
 
 def evolve_profile(

@@ -225,19 +225,6 @@ def s2_closure_check(basis: HarmonicBasis) -> bool:
 # --- spherical harmonics (numeric cross-check only) ------------------------
 
 
-@dataclass(frozen=True)
-class SphericalHarmonicValue:
-    n: int
-    k: int
-    theta: float
-    phi: float
-    value: complex
-
-    def __post_init__(self):
-        if abs(self.k) > self.n:
-            raise ValueError("|k| must be <= n")
-
-
 @lru_cache(maxsize=None)
 def _diff_poly_x2m1(n: int, order: int) -> tuple[Fraction, ...]:
     """Exact coefficients of d^order/dx^order (x^2 - 1)^n."""
@@ -280,12 +267,6 @@ def spherical_harmonic(n: int, k: int, theta: float, phi: float) -> complex:
         * assoc_legendre(n, k, math.cos(theta))
         * complex(math.cos(k * phi), math.sin(k * phi))
     )
-
-
-def spherical_harmonic_sample(
-    n: int, k: int, theta: float, phi: float
-) -> SphericalHarmonicValue:
-    return SphericalHarmonicValue(n, k, theta, phi, spherical_harmonic(n, k, theta, phi))
 
 
 def addition_theorem_residual(n: int, sample_count: int = 100, seed: int = 0) -> float:

@@ -73,21 +73,15 @@ class InconsistentValuesError(ValueError):
     """The supplied basis values match no point on the sphere."""
 
 
-def _kappa_node_values(sig: KappaSignature, grid: ParameterGrid) -> np.ndarray:
-    return grid.nodes[:, 0] ** sig.k1 * grid.nodes[:, 1] ** sig.k2
+def kappa_weights(kappas: Sequence[KappaSignature], nodes: np.ndarray) -> np.ndarray:
+    """sigma1^k1 sigma2^k2, one row per signature and one column per node."""
+    return np.array([nodes[:, 0] ** sig.k1 * nodes[:, 1] ** sig.k2 for sig in kappas])
 
 
 @dataclass(frozen=True)
 class MomentTable:
     entries: dict[tuple[int, int, int], float]  # (basis index, a, b) -> value
     D: int
-    provenance: str  # "oracle" | "measured"
-
-
-@dataclass(frozen=True)
-class PsiSamples:
-    values: np.ndarray  # (num basis elements, num nodes)
-    provenance: str
 
 
 @dataclass(frozen=True)
@@ -121,28 +115,15 @@ class ReconstructionResult:
 # --- moment extraction ------------------------------------------------------
 
 
-def _psi_node_values(
-    profile: Profile,
-    density: Density,
-    grid: ParameterGrid,
-    basis_polys: Sequence[Poly],
-    kappas: Sequence[KappaSignature],
-) -> np.ndarray:
-    rows = []
-    for p, sig in zip(basis_polys, kappas):
-        vals = compile_phi(p)(profile.states)
-        rows.append(_kappa_node_values(sig, grid) * vals * density.values)
-    return np.array(rows)
-
-
 def oracle_psi_samples(
-    truth: tuple[Profile, Density],
-    grid: ParameterGrid,
-    basis_polys: Sequence[Poly],
-    kappas: Sequence[KappaSignature],
-) -> PsiSamples:
+    truth: tuple[Profile, Density], basis_polys: Sequence[Poly], kexp: np.ndarray
+) -> np.ndarray:
+    """psi_i on the grid nodes, one row per basis element, from the hidden
+    truth and the kappa weights (``kappa_weights``) of the basis words."""
     profile, density = truth
-    return PsiSamples(_psi_node_values(profile, density, grid, basis_polys, kappas), "oracle")
+    return np.array(
+        [k * compile_phi(p)(profile.states) * density.values for p, k in zip(basis_polys, kexp)]
+    )
 
 
 def oracle_moments(
@@ -153,19 +134,18 @@ def oracle_moments(
     D: int,
 ) -> MomentTable:
     """Quadrature of m_xi^a m_zeta^b psi_i straight from the hidden truth."""
-    profile, density = truth
     basis_polys = [apply_word(w, phi) for w in words]
-    kappas = [kappa_of_word(w) for w in words]
-    psi = _psi_node_values(profile, density, grid, basis_polys, kappas)
+    kexp = kappa_weights([kappa_of_word(w) for w in words], grid.nodes)
+    psi = oracle_psi_samples(truth, basis_polys, kexp)
     m_xi = grid.nodes[:, 0] * grid.nodes[:, 1] ** 2
     m_zeta = grid.nodes[:, 1] ** 4
-    entries: dict[tuple[int, int, int], float] = {}
-    for i in range(len(words)):
-        for a in range(D + 1):
-            for b in range(D + 1 - a):
-                feat = m_xi**a * m_zeta**b
-                entries[(i, a, b)] = float(np.dot(grid.weights, feat * psi[i]))
-    return MomentTable(entries, D, "oracle")
+    feats = {(a, b): m_xi**a * m_zeta**b for a in range(D + 1) for b in range(D + 1 - a)}
+    entries = {
+        (i, a, b): float(np.dot(grid.weights, feat * psi[i]))
+        for i in range(len(words))
+        for (a, b), feat in feats.items()
+    }
+    return MomentTable(entries, D)
 
 
 @dataclass(frozen=True)
@@ -298,22 +278,6 @@ def measured_word_moments(
     return moments
 
 
-def measured_moments(
-    sim: OutputSimulator,
-    phi: Poly,
-    word: Word,
-    fd_step: float,
-    fd_word_cap: int = 4,
-) -> float:
-    """Finite-difference estimate of the single word moment."""
-    word = tuple(word)
-    if len(word) > fd_word_cap:
-        raise WordTooLongError(
-            f"word {word} has length {len(word)} > cap {fd_word_cap}"
-        )
-    return float(measured_word_moments(sim, phi, len(word), fd_step)[len(word)][word])
-
-
 def measured_moment_table(
     sim: OutputSimulator,
     phi: Poly,
@@ -330,23 +294,26 @@ def measured_moment_table(
     """
     n = phi.homogeneous_degree
     lam = float(-n * (n + 1))
+    exprs = {
+        (a, b): xi().power(a).compose(zeta().power(b)).terms.items()
+        for a in range(D + 1)
+        for b in range(D + 1 - a)
+    }
     max_length = 0
     requests: dict[tuple[int, int, int], list[tuple[float, Word]]] = {}
     for i, base_word in enumerate(words):
-        for a in range(D + 1):
-            for b in range(D + 1 - a):
-                expr = xi().power(a).compose(zeta().power(b))
-                combos = []
-                for w, c in expr.terms.items():
-                    full = w + tuple(base_word)
-                    if len(full) > fd_word_cap:
-                        raise WordTooLongError(
-                            f"moment ({i},{a},{b}) needs word length {len(full)} "
-                            f"> cap {fd_word_cap}"
-                        )
-                    combos.append((float(c.re), full))
-                    max_length = max(max_length, len(full))
-                requests[(i, a, b)] = combos
+        for (a, b), terms in exprs.items():
+            combos = []
+            for w, c in terms:
+                full = w + tuple(base_word)
+                if len(full) > fd_word_cap:
+                    raise WordTooLongError(
+                        f"moment ({i},{a},{b}) needs word length {len(full)} "
+                        f"> cap {fd_word_cap}"
+                    )
+                combos.append((float(c.re), full))
+                max_length = max(max_length, len(full))
+            requests[(i, a, b)] = combos
     moments = measured_word_moments(sim, phi, max_length, fd_step)
     entries = {}
     for key, combos in requests.items():
@@ -355,7 +322,7 @@ def measured_moment_table(
         for coeff, w in combos:
             total += coeff * float(moments[len(w)][w])
         entries[key] = total / lam ** (a + b)
-    return MomentTable(entries, D, "measured")
+    return MomentTable(entries, D)
 
 
 # --- density fit in the (m_xi, m_zeta) algebra ------------------------------
@@ -454,46 +421,35 @@ def fit_psi(table: MomentTable, grid: ParameterGrid, i: int) -> np.ndarray:
 
 
 def recover_density(
-    psi: PsiSamples,
-    identity: QuadraticIdentity,
-    kappas: Sequence[KappaSignature],
-    grid: ParameterGrid,
-    rho_floor: float,
-) -> tuple[Density, list[int]]:
-    """rho(sigma)^2 from the constant quadratic form over the psi samples.
+    psi: np.ndarray, identity: QuadraticIdentity, kexp: np.ndarray, rho_floor: float
+) -> tuple[Density, np.ndarray]:
+    """rho(sigma)^2 from the constant quadratic form over the psi samples,
+    and the mask of nodes where it is defined.
 
     The identity must be expressed in the same basis the psi samples belong
-    to (the word-image basis); rebase it first otherwise.
+    to (the word-image basis); rebase it first otherwise.  A node is
+    undefined where rho falls below rho_floor * max(rho), and where any kappa
+    weight vanishes: psi carries no value to divide there, and rho reads 0.
     """
-    m = len(kappas)
-    if psi.values.shape[0] != m or len(identity.basis.polys) != m:
-        raise ValueError("psi samples, kappas, and identity basis disagree in size")
-    kexp = np.array([_kappa_node_values(sig, grid) for sig in kappas])
-    v = psi.values / kexp
+    m = len(kexp)
+    if psi.shape[0] != m or len(identity.basis.polys) != m:
+        raise ValueError("psi samples, kappa weights, and identity basis disagree in size")
+    weighted = np.all(kexp != 0.0, axis=0)
+    v = np.divide(psi, kexp, out=np.zeros_like(psi), where=weighted)
     C = np.array([[float(c) for c in row] for row in identity.coeffs])
     rho_sq = np.einsum("ij,in,jn->n", C, v, v)
     rho = np.sqrt(np.clip(rho_sq, 0.0, None))
-    peak = float(rho.max()) if rho.size else 0.0
-    if peak == 0.0:
-        return Density(rho), list(range(grid.size))
-    return Density(rho), np.flatnonzero(rho < rho_floor * peak).tolist()
+    peak = rho.max(initial=0.0)
+    return Density(rho), weighted & (rho >= rho_floor * peak) & (peak > 0.0)
 
 
 def recover_harmonic_values(
-    psi: PsiSamples,
-    density: Density,
-    kappas: Sequence[KappaSignature],
-    grid: ParameterGrid,
-    undefined: Sequence[int] = (),
+    psi: np.ndarray, density: Density, kexp: np.ndarray, defined: np.ndarray
 ) -> np.ndarray:
-    """Invert psi_i = sigma^kappa_i p_i(x) rho to the basis values p_i(x)."""
-    kexp = np.array([_kappa_node_values(sig, grid) for sig in kappas])
-    values = np.full_like(psi.values, np.nan)
-    defined = np.ones(grid.size, dtype=bool)
-    defined[list(undefined)] = False
-    values[:, defined] = psi.values[:, defined] / (
-        kexp[:, defined] * density.values[defined]
-    )
+    """Invert psi_i = sigma^kappa_i p_i(x) rho to the basis values p_i(x) on
+    the defined nodes; NaN elsewhere."""
+    values = np.full_like(psi, np.nan)
+    values[:, defined] = psi[:, defined] / (kexp[:, defined] * density.values[defined])
     return values
 
 
@@ -599,13 +555,6 @@ class PointInverter:
             return _canonical_representative(best), "antipodal-pair", best_res
         return best, "unique", best_res
 
-    def invert(self, values, consistency_tol: float = 1e-5):
-        """One point and the ambiguity flag from one value vector."""
-        x, flag, _ = self.invert_with_residual(
-            np.asarray(values, dtype=float)[:, None], consistency_tol
-        )
-        return x[0], flag
-
 
 def _canonical_representative(x: np.ndarray) -> np.ndarray:
     """Per row, the one of x and -x whose first nonzero of (x3, x1, x2) is positive."""
@@ -701,8 +650,9 @@ def reconstruct(
     )
 
     truth = (truth_profile, truth_density)
+    kexp = kappa_weights(kappas, grid.nodes)
     if config.mode == "oracle-psi":
-        psi = _stage("psi-samples", oracle_psi_samples, truth, grid, basis_polys, kappas)
+        psi = _stage("psi-samples", oracle_psi_samples, truth, basis_polys, kexp)
     else:
         if config.mode == "oracle-moments":
             table = _stage("moments", oracle_moments, truth, grid, phi, words, config.D)
@@ -721,20 +671,14 @@ def reconstruct(
         fb = _feature_basis(grid.box, config.D)
         diagnostics["gram_condition"] = fb.gram_condition()
         diagnostics["gram_min_pivot"] = fb.min_pivot
-        rows = [fit_psi(table, grid, i) for i in range(len(words))]
-        psi = PsiSamples(np.array(rows), table.provenance)
+        psi = np.array([fit_psi(table, grid, i) for i in range(len(words))])
 
-    density, undefined = _stage(
-        "density", recover_density, psi, identity, kappas, grid, config.rho_floor
-    )
+    density, defined = _stage("density", recover_density, psi, identity, kexp, config.rho_floor)
+    undefined = np.flatnonzero(~defined).tolist()
     diagnostics["undefined_count"] = len(undefined)
 
-    values = _stage(
-        "harmonic-values", recover_harmonic_values, psi, density, kappas, grid, undefined
-    )
+    values = _stage("harmonic-values", recover_harmonic_values, psi, density, kexp, defined)
 
-    defined = np.ones(grid.size, dtype=bool)
-    defined[list(undefined)] = False
     states = np.full((grid.size, 3), np.nan)
     diagnostics["inversion_max_residual"] = 0.0
     if defined.any():

@@ -1,0 +1,67 @@
+"""The benchmark's child runner, traced, still runs against the package.
+
+``perfbench/tracer.py`` wraps blochobs functions and methods by name; a name
+it reads that the package no longer has stops every traced run.  Each case
+runs ``perfbench/child.py`` in its own interpreter, because the tracer
+patches modules process-wide.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BOX = {"a1": 0.0, "b1": 1.0, "a2": 0.5, "b2": 1.5}
+
+
+def _run_child(tmp_path, *args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    record = tmp_path / "record.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), str(record), "1", *args],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rec = json.loads(record.read_text())
+    assert rec["exit"] == 0
+    assert rec["trace"]["spans"]
+    return rec
+
+
+def test_traced_measured_moments_reconstruct(tmp_path):
+    cfg = {
+        "box": BOX,
+        "grid": {"n1": 4, "n2": 4},
+        "phi": {"degree": 1, "named": "x3"},
+        "truth": {
+            "profile": {"kind": "angles", "theta": [0.8, 0.5, 0.3], "phi": [0.2, 0.9, -0.4]},
+            "density": {"kind": "gaussian", "center": [0.5, 1.0], "widths": [0.6, 0.6]},
+        },
+        "reconstruction": {"D": 0},
+    }
+    path = tmp_path / "measured.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "result.json"
+    rec = _run_child(
+        tmp_path, "cli", "reconstruct", "--config", str(path), "--mode", "measured-moments",
+        "--out", str(out),
+    )
+    names = {span[0] for span in rec["trace"]["spans"]}
+    assert {"reconstruction.reconstruct", "reconstruction.measured_word_moments"} <= names
+    assert json.loads(out.read_text())["undefined_nodes"] == []
+
+
+def test_traced_feature_basis(tmp_path):
+    path = tmp_path / "feature.json"
+    path.write_text(json.dumps({"box": BOX, "D": 2, "grid": {"n1": 6, "n2": 12}}))
+    out = tmp_path / "feature_out.json"
+    rec = _run_child(tmp_path, "feature-basis", str(path), str(out))
+    names = {span[0] for span in rec["trace"]["spans"]}
+    assert {"reconstruction.FeatureBasis.init", "reconstruction.fit"} <= names
+    assert json.loads(out.read_text())["size"] == 6

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -528,6 +529,52 @@ def test_reconstruct_output_is_strict_json_with_exact_diagnostics(tmp_path, mode
         expected |= {"gram_condition", "gram_min_pivot"}
     assert set(result["diagnostics"]) == expected
     assert len(result["undefined_nodes"]) == (16 if density is ZERO else 0)
+
+
+@pytest.mark.parametrize("phi, degree", [("x1x2", 2), ("x1x2x3", 3)])
+def test_reconstruct_sigma1_zero_nodes_are_undefined(tmp_path, phi, degree):
+    """On [-1, 1] x [0.5, 1.5] with n1 = 5 the middle Gauss column lies at
+    sigma1 = 0, where the drift word's kappa weight sigma1 vanishes; those
+    nodes are undefined and the rest recover the truth.  This used to divide
+    0/0 and exit 1 in the density stage."""
+    truth = {
+        "profile": TRUTH["profile"],
+        "density": {"kind": "gaussian", "center": [0.0, 1.0], "widths": [0.6, 0.6]},
+    }
+    cfg = {
+        "box": {"a1": -1.0, "b1": 1.0, "a2": 0.5, "b2": 1.5},
+        "grid": {"n1": 5, "n2": 4},
+        "phi": {"degree": degree, "named": phi},
+        "truth": truth,
+    }
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "r.json"
+    args = ["reconstruct", "--config", path, "--mode", "oracle-psi", "--out", str(out)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(args) == 0
+    result = json.loads(out.read_text(), parse_constant=_reject_constant)
+    grid = ens.make_grid(ens.ParameterBox(-1.0, 1.0, 0.5, 1.5), 5, 4)
+    zero = grid.nodes[:, 0] == 0.0
+    assert result["undefined_nodes"] == np.flatnonzero(zero).tolist() == [8, 9, 10, 11]
+    assert result["diagnostics"]["undefined_count"] == 4
+    profile = ens.angles_profile(grid, [0.8, 0.5, 0.3], [0.2, 0.9, -0.4])
+    density = ens.gaussian_density(grid, [0.0, 1.0], [0.6, 0.6])
+    rho = np.array(result["density"])
+    np.testing.assert_allclose(rho[~zero], density.values[~zero], rtol=0.0, atol=1e-8)
+    assert all(result["profile"][j] is None for j in np.flatnonzero(zero))
+    est = np.array([result["profile"][j] for j in np.flatnonzero(~zero)])
+    direct = np.max(np.abs(est - profile.states[~zero]))
+    if degree % 2:
+        assert direct <= 1e-8
+    else:
+        # the undefined column cuts the grid in two, each stitched on its own
+        assert result["diagnostics"]["stitch_components"] == 2
+        left = grid.nodes[~zero, 0] < 0.0
+        for side in (left, ~left):
+            gap = np.abs(est[side] - profile.states[~zero][side])
+            flipped = np.abs(est[side] + profile.states[~zero][side])
+            assert min(np.max(gap), np.max(flipped)) <= 1e-8
 
 
 def _old_report(path, grid, density, result, profile):

@@ -17,7 +17,6 @@ from blochobs.ensemble import (
     output,
     output_equiv_test,
     rotate_states,
-    rotation_step,
     simulate,
     table_density,
     table_profile,
@@ -38,6 +37,13 @@ def test_box_validation():
         ParameterBox(0.0, 1.0, -0.5, 1.5)
     with pytest.raises(ValueError):
         ParameterBox(0.0, 1.0, 0.0, 1.5)
+    with pytest.raises(ValueError):
+        ParameterBox(math.nan, 1.0, 0.5, 1.5)
+    # make_grid would map Gauss nodes onto inf or NaN
+    inf = math.inf
+    for bounds in ((0.0, 1.0, 0.5, inf), (-inf, 1.0, 0.5, 1.5), (0.0, inf, 0.5, 1.5)):
+        with pytest.raises(ValueError, match="finite"):
+            ParameterBox(*bounds)
 
 
 def test_single_node_grid():
@@ -62,29 +68,34 @@ def test_quadrature_exact_on_monomials():
     assert abs(approx - exact) <= 1e-12 * abs(exact)
 
 
+def rotate_one(x, sigma, u, tau):
+    """One state through one constant-control segment: a one-row batch."""
+    return rotate_states(np.array([x], dtype=float), np.array([sigma], dtype=float), u, tau)[0]
+
+
 def test_rotation_step_drift_only():
-    x = rotation_step((1.0, 0.0, 0.0), (1.0, 1.0), (0.0, 0.0), math.pi / 2)
+    x = rotate_one((1.0, 0.0, 0.0), (1.0, 1.0), (0.0, 0.0), math.pi / 2)
     np.testing.assert_allclose(x, [0.0, -1.0, 0.0], atol=1e-15)
 
 
 def test_rotation_step_control_only():
-    x = rotation_step((0.0, 0.0, 1.0), (0.0, 1.0), (1.0, 0.0), math.pi)
+    x = rotate_one((0.0, 0.0, 1.0), (0.0, 1.0), (1.0, 0.0), math.pi)
     np.testing.assert_allclose(x, [0.0, 0.0, -1.0], atol=1e-12)
     # quarter turn: x1 = sin t, x3 = cos t
-    x = rotation_step((0.0, 0.0, 1.0), (0.0, 1.0), (1.0, 0.0), math.pi / 2)
+    x = rotate_one((0.0, 0.0, 1.0), (0.0, 1.0), (1.0, 0.0), math.pi / 2)
     np.testing.assert_allclose(x, [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_rotation_step_zero_tau():
     x0 = (0.6, 0.0, 0.8)
-    np.testing.assert_array_equal(rotation_step(x0, (0.3, 1.1), (0.5, -0.2), 0.0), x0)
+    np.testing.assert_array_equal(rotate_one(x0, (0.3, 1.1), (0.5, -0.2), 0.0), x0)
 
 
 def test_small_angle_branch_matches_rotation():
     x0 = np.array([0.6, 0.0, 0.8])
     for tau in (1e-9, 2e-9):
-        small = rotation_step(x0, (1.0, 1.0), (0.7, -0.4), tau)
-        coarse = rotation_step(x0, (1.0, 1.0), (0.7, -0.4), 1e-6)
+        small = rotate_one(x0, (1.0, 1.0), (0.7, -0.4), tau)
+        coarse = rotate_one(x0, (1.0, 1.0), (0.7, -0.4), 1e-6)
         # both must stay on the sphere and be first-order consistent
         assert abs(np.linalg.norm(small) - 1) <= 1e-12
         direction = (coarse - x0) / 1e-6
@@ -99,9 +110,7 @@ def test_norm_preservation_long_run():
     for _ in range(1000):
         u = rng.uniform(-2, 2, size=2)
         tau = rng.uniform(0.05, 0.2)
-        states = np.array(
-            [rotation_step(states[j], grid.nodes[j], u, tau) for j in range(grid.size)]
-        )
+        states = rotate_states(states, grid.nodes, u, tau)
     norms = np.linalg.norm(states, axis=1)
     assert np.max(np.abs(norms - 1.0)) <= 1e-12
 
@@ -110,12 +119,8 @@ def test_reversibility():
     grid = make_grid(BOX, 3, 3)
     profile = angles_profile(grid, (0.4, 0.3, 0.2), (0.1, 0.5, -0.3))
     states = profile.states
-    fwd = np.array(
-        [rotation_step(states[j], grid.nodes[j], (0.8, -0.5), 0.7) for j in range(grid.size)]
-    )
-    back = np.array(
-        [rotation_step(fwd[j], grid.nodes[j], (0.8, -0.5), -0.7) for j in range(grid.size)]
-    )
+    fwd = rotate_states(states, grid.nodes, (0.8, -0.5), 0.7)
+    back = rotate_states(fwd, grid.nodes, (0.8, -0.5), -0.7)
     assert np.max(np.abs(back - states)) <= 1e-12
 
 
@@ -140,12 +145,9 @@ def test_evolve_shared_sigma_same_rotation():
     grid = make_grid(box, 1, 1)
     sigma = grid.nodes[0]
     xs = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]])
-    schedule = ControlSchedule(((0.9, 0.3, 0.8),))
-    expected = np.array([rotation_step(x, sigma, (0.3, 0.8), 0.9) for x in xs])
-    for x, e in zip(xs, expected):
-        got = rotation_step(x, sigma, (0.3, 0.8), 0.9)
-        np.testing.assert_array_equal(got, e)
-    del schedule
+    batch = rotate_states(xs, np.tile(sigma, (3, 1)), (0.3, 0.8), 0.9)
+    for x, got in zip(xs, batch):
+        np.testing.assert_array_equal(got, rotate_one(x, sigma, (0.3, 0.8), 0.9))
 
 
 def test_output_north_pole():

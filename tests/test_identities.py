@@ -268,11 +268,8 @@ def test_spherical_harmonic_proportional_to_ladder():
                 assert abs(r - ratios[0]) <= 1e-9 * abs(ratios[0])
 
 
-def test_spherical_harmonic_sample_record():
-    from blochobs.identities import spherical_harmonic_sample
-
-    rec = spherical_harmonic_sample(2, -1, 0.7, 1.3)
-    assert rec.value == spherical_harmonic(2, -1, 0.7, 1.3)
-    assert (rec.n, rec.k) == (2, -1)
-    with pytest.raises(ValueError):
-        spherical_harmonic_sample(1, 2, 0.0, 0.0)
+def test_spherical_harmonic_rejects_order_above_degree():
+    with pytest.raises(ValueError, match=r"\|k\| must be <= n"):
+        spherical_harmonic(1, 2, 0.0, 0.0)
+    with pytest.raises(ValueError, match=r"\|k\| must be <= n"):
+        spherical_harmonic(2, -3, 0.7, 1.3)

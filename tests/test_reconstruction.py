@@ -36,8 +36,8 @@ from blochobs.reconstruction import (
     _feature_basis,
     _feature_gram,
     fit_psi,
+    kappa_weights,
     measured_moment_table,
-    measured_moments,
     measured_word_moments,
     oracle_moments,
     oracle_psi_samples,
@@ -115,12 +115,16 @@ def test_eigen_operator_moment_consistency():
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+def _word_moment(sim, phi, word, fd_step):
+    return float(measured_word_moments(sim, phi, len(word), fd_step)[len(word)][word])
+
+
 def test_measured_moments_empty_word():
     grid = make_grid(BOX, 4, 4)
     profile, density = smooth_truth(grid)
     sim = OutputSimulator(profile, grid, density)
     y0 = output(profile, grid, density, X3)
-    assert measured_moments(sim, X3, (), fd_step=1e-2) == y0
+    assert _word_moment(sim, X3, (), fd_step=1e-2) == y0
 
 
 @pytest.mark.parametrize("word", [(1,), (2,), (0,)])
@@ -129,7 +133,7 @@ def test_measured_moments_single_letters(word):
     truth = smooth_truth(grid)
     sim = OutputSimulator(truth[0], grid, truth[1])
     oracle = oracle_moments(truth, grid, X3, [word], D=0).entries[(0, 0, 0)]
-    measured = measured_moments(sim, X3, word, fd_step=1e-2)
+    measured = _word_moment(sim, X3, word, fd_step=1e-2)
     assert measured == pytest.approx(oracle, rel=1e-3, abs=1e-9)
 
 
@@ -140,16 +144,17 @@ def test_measured_moments_length_two_h2():
     phi = X1 * X2
     for word in [(1, 2), (0, 1)]:
         oracle = oracle_moments(truth, grid, phi, [word], D=0).entries[(0, 0, 0)]
-        measured = measured_moments(sim, phi, word, fd_step=1e-2)
+        measured = _word_moment(sim, phi, word, fd_step=1e-2)
         assert measured == pytest.approx(oracle, rel=1e-2, abs=1e-8)
 
 
 def test_measured_moments_word_cap():
+    """A basis word longer than the cap raises even at D = 0."""
     grid = make_grid(BOX, 2, 2)
     profile, density = smooth_truth(grid)
     sim = OutputSimulator(profile, grid, density)
-    with pytest.raises(WordTooLongError):
-        measured_moments(sim, X3, (1, 2, 1, 2, 1), fd_step=1e-2)
+    with pytest.raises(WordTooLongError, match="length 5 > cap 4"):
+        measured_moment_table(sim, X3, [(1, 2, 1, 2, 1)], D=0, fd_step=1e-2, fd_word_cap=4)
 
 
 def _sequential_word_moments(sim, phi, length, fd_step):
@@ -273,7 +278,7 @@ def test_fit_psi_constant_exact():
         )
         for a, b in fb.pairs
     }
-    table = MomentTable(entries, 2, "oracle")
+    table = MomentTable(entries, 2)
     samples = fit_psi(table, grid, 0)
     np.testing.assert_allclose(samples, np.ones(grid.size), atol=1e-10)
 
@@ -289,7 +294,7 @@ def test_fit_psi_feature_exact():
         (0, a, b): float(np.dot(grid.weights, m_xi**a * m_zeta**b * target))
         for a, b in fb.pairs
     }
-    table = MomentTable(entries, D, "oracle")
+    table = MomentTable(entries, D)
     samples = fit_psi(table, grid, 0)
     np.testing.assert_allclose(samples, target, atol=1e-9)
 
@@ -306,7 +311,7 @@ def test_fit_psi_sin_improves_with_degree():
             (0, a, b): float(np.dot(grid.weights, m_xi**a * m_zeta**b * target))
             for a, b in fb.pairs
         }
-        table = MomentTable(entries, D, "oracle")
+        table = MomentTable(entries, D)
         samples = fit_psi(table, grid, 0)
         err = math.sqrt(float(np.dot(grid.weights, (samples - target) ** 2)))
         errors.append(err)
@@ -330,11 +335,11 @@ def test_recover_density_exact_n1():
     phi = X3
     words = word_basis_search(phi)
     polys = [apply_word(w, phi) for w in words]
-    kappas = [kappa_of_word(w) for w in words]
-    psi = oracle_psi_samples((profile, density), grid, polys, kappas)
+    kexp = kappa_weights([kappa_of_word(w) for w in words], grid.nodes)
+    psi = oracle_psi_samples((profile, density), polys, kexp)
     identity = constant_quadratic_form(HarmonicBasis(1, tuple(polys)))
-    est, undefined = recover_density(psi, identity, kappas, grid, rho_floor=1e-6)
-    assert undefined == []
+    est, defined = recover_density(psi, identity, kexp, rho_floor=1e-6)
+    assert defined.all()
     rel = np.abs(est.values - density.values) / np.max(density.values)
     assert np.max(rel) <= 1e-10
 
@@ -346,10 +351,10 @@ def test_recover_density_n1_identity_structure():
     phi = X3
     words = word_basis_search(phi)
     polys = [apply_word(w, phi) for w in words]
-    kappas = [kappa_of_word(w) for w in words]
-    psi = oracle_psi_samples((profile, density), grid, polys, kappas)
+    kexp = kappa_weights([kappa_of_word(w) for w in words], grid.nodes)
+    psi = oracle_psi_samples((profile, density), polys, kexp)
     s2 = grid.nodes[:, 1]
-    rho_sq = psi.values[0] ** 2 + psi.values[1] ** 2 / s2**2 + psi.values[2] ** 2 / s2**2
+    rho_sq = psi[0] ** 2 + psi[1] ** 2 / s2**2 + psi[2] ** 2 / s2**2
     np.testing.assert_allclose(np.sqrt(rho_sq), density.values, rtol=1e-12)
 
 
@@ -362,12 +367,12 @@ def test_recover_density_accepts_rebased_identity():
     phi = X3
     words = word_basis_search(phi)
     polys = [apply_word(w, phi) for w in words]
-    kappas = [kappa_of_word(w) for w in words]
-    psi = oracle_psi_samples((profile, density), grid, polys, kappas)
+    kexp = kappa_weights([kappa_of_word(w) for w in words], grid.nodes)
+    psi = oracle_psi_samples((profile, density), polys, kexp)
     on_example = constant_quadratic_form(example_basis(1))
     rebased = rebase_quadratic_identity(on_example, HarmonicBasis(1, tuple(polys)))
-    est, undefined = recover_density(psi, rebased, kappas, grid, rho_floor=1e-6)
-    assert undefined == []
+    est, defined = recover_density(psi, rebased, kexp, rho_floor=1e-6)
+    assert defined.all()
     np.testing.assert_allclose(est.values, density.values, rtol=1e-10)
 
 
@@ -381,12 +386,31 @@ def test_recover_density_zero_region_flagged():
     phi = X3
     words = word_basis_search(phi)
     polys = [apply_word(w, phi) for w in words]
-    kappas = [kappa_of_word(w) for w in words]
-    psi = oracle_psi_samples((profile, density), grid, polys, kappas)
+    kexp = kappa_weights([kappa_of_word(w) for w in words], grid.nodes)
+    psi = oracle_psi_samples((profile, density), polys, kexp)
     identity = constant_quadratic_form(HarmonicBasis(1, tuple(polys)))
-    est, undefined = recover_density(psi, identity, kappas, grid, rho_floor=1e-6)
-    assert set(undefined) == set(np.nonzero(dead)[0])
+    est, defined = recover_density(psi, identity, kexp, rho_floor=1e-6)
+    np.testing.assert_array_equal(defined, ~dead)
     assert np.all(np.isfinite(est.values))
+
+
+def test_recover_density_vanishing_kappa_weight_is_undefined():
+    """A fitted psi need not vanish where a kappa weight does (sigma1 = 0 for
+    the drift word of x1x2); such nodes are undefined, with no division."""
+    grid = make_grid(ParameterBox(-1.0, 1.0, 0.5, 1.5), 5, 4)
+    words = word_basis_search(X1 * X2)
+    polys = [apply_word(w, X1 * X2) for w in words]
+    kexp = kappa_weights([kappa_of_word(w) for w in words], grid.nodes)
+    zero = grid.nodes[:, 0] == 0.0
+    assert zero.any() and np.all((kexp == 0.0).any(axis=0) == zero)
+    psi = np.random.default_rng(7).uniform(0.5, 1.0, size=kexp.shape)
+    identity = constant_quadratic_form(HarmonicBasis(2, tuple(polys)))
+    with np.errstate(all="raise"):
+        est, defined = recover_density(psi, identity, kexp, rho_floor=1e-6)
+        values = recover_harmonic_values(psi, est, kexp, defined)
+    assert not defined[zero].any()
+    assert np.all(est.values[zero] == 0.0) and np.all(np.isfinite(est.values))
+    assert np.all(np.isnan(values[:, zero]))
 
 
 def test_recover_harmonic_values_roundtrip():
@@ -395,14 +419,14 @@ def test_recover_harmonic_values_roundtrip():
     phi = X1 * X2
     words = word_basis_search(phi)
     polys = [apply_word(w, phi) for w in words]
-    kappas = [kappa_of_word(w) for w in words]
-    psi = oracle_psi_samples((profile, density), grid, polys, kappas)
+    kexp = kappa_weights([kappa_of_word(w) for w in words], grid.nodes)
+    psi = oracle_psi_samples((profile, density), polys, kexp)
     identity = constant_quadratic_form(HarmonicBasis(2, tuple(polys)))
-    est, undefined = recover_density(psi, identity, kappas, grid, rho_floor=1e-6)
-    assert undefined == []
+    est, defined = recover_density(psi, identity, kexp, rho_floor=1e-6)
+    assert defined.all()
     rel = np.abs(est.values - density.values) / np.max(density.values)
     assert np.max(rel) <= 1e-10
-    values = recover_harmonic_values(psi, est, kappas, grid, undefined)
+    values = recover_harmonic_values(psi, est, kexp, defined)
     from blochobs.ensemble import compile_phi
 
     for i, p in enumerate(polys):
@@ -414,9 +438,14 @@ def test_recover_harmonic_values_roundtrip():
     np.testing.assert_allclose(q, np.ones(grid.size), atol=1e-10)
 
 
+def _invert_one(inverter, values):
+    x, flag, _ = inverter.invert_with_residual(np.asarray(values, dtype=float)[:, None])
+    return x[0], flag
+
+
 def test_invert_point_n1_chart():
     basis = example_basis(1)
-    x, flag = PointInverter(basis).invert((0.6, 0.0, 0.8))
+    x, flag = _invert_one(PointInverter(basis), (0.6, 0.0, 0.8))
     np.testing.assert_allclose(x, [0.6, 0.0, 0.8], atol=1e-12)
     assert flag == "unique"
 
@@ -426,7 +455,7 @@ def test_invert_point_n2_axis():
     vals_north = [float(p.evaluate((0, 0, 1)).real) for p in basis.polys]
     vals_south = [float(p.evaluate((0, 0, -1)).real) for p in basis.polys]
     assert vals_north == vals_south
-    x, flag = PointInverter(basis).invert(vals_north)
+    x, flag = _invert_one(PointInverter(basis), vals_north)
     np.testing.assert_allclose(x, [0, 0, 1], atol=1e-12)
     assert flag == "antipodal-pair"
 
@@ -436,18 +465,17 @@ def test_invert_point_roundtrip(n):
     basis = real_harmonic_basis(n)
     inverter = PointInverter(basis)
     rng = np.random.default_rng(100 + n)
-    for _ in range(300):
-        v = rng.normal(size=3)
-        x = v / np.linalg.norm(v)
-        values = [float(p.evaluate(tuple(x)).real) for p in basis.polys]
-        got, flag = inverter.invert(values)
-        err = min(np.linalg.norm(got - x), np.linalg.norm(got + x))
-        assert err <= 1e-9
-        if n % 2 == 1:
-            assert flag == "unique"
-            assert np.linalg.norm(got - x) <= 1e-9
-        else:
-            assert flag == "antipodal-pair"
+    xs = rng.normal(size=(300, 3))
+    xs /= np.linalg.norm(xs, axis=1)[:, None]
+    values = np.array([[float(p.evaluate(tuple(x)).real) for x in xs] for p in basis.polys])
+    got, flag, _ = inverter.invert_with_residual(values)
+    direct = np.linalg.norm(got - xs, axis=1)
+    assert np.all(np.minimum(direct, np.linalg.norm(got + xs, axis=1)) <= 1e-9)
+    if n % 2 == 1:
+        assert flag == "unique"
+        assert np.all(direct <= 1e-9)
+    else:
+        assert flag == "antipodal-pair"
 
 
 def test_invert_point_special_points():
@@ -456,7 +484,7 @@ def test_invert_point_special_points():
     for x in ([0, 0, 1], [0, 0, -1], [1, 0, 0], [0, 1, 0], [-1, 0, 0]):
         x = np.array(x, dtype=float)
         values = [float(p.evaluate(tuple(x)).real) for p in basis.polys]
-        got, flag = inverter.invert(values)
+        got, flag = _invert_one(inverter, values)
         assert flag == "unique"
         np.testing.assert_allclose(got, x, atol=1e-9)
 
@@ -470,7 +498,7 @@ def test_invert_point_near_axis_degrades_gracefully():
             x = np.array([eps, eps, 1.0])
             x = x / np.linalg.norm(x)
             values = [float(p.evaluate(tuple(x)).real) for p in basis.polys]
-            got, _ = inverter.invert(values)
+            got, _ = _invert_one(inverter, values)
             err = min(np.linalg.norm(got - x), np.linalg.norm(got + x))
             assert err <= 3 * eps
 
@@ -479,7 +507,7 @@ def test_invert_point_rejects_garbage():
     basis = example_basis(2)
     inverter = PointInverter(basis)
     with pytest.raises(InconsistentValuesError):
-        inverter.invert([5.0, -3.0, 2.0, 0.4, 0.1])
+        _invert_one(inverter, [5.0, -3.0, 2.0, 0.4, 0.1])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -509,9 +537,9 @@ def test_invert_batch_mixed_points(n):
         for x in got:  # canonical representative: first nonzero of x3, x1, x2 positive
             lead = next(c for c in (x[2], x[0], x[1]) if c != 0)
             assert lead > 0
-    # The per-column path agrees with the batch.
+    # One column at a time agrees with the batch.
     for j in range(len(pts)):
-        x, single_flag = inverter.invert(values[:, j])
+        x, single_flag = _invert_one(inverter, values[:, j])
         assert single_flag == flag
         np.testing.assert_allclose(x, got[j], atol=1e-12)
 
