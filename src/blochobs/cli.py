@@ -4,7 +4,8 @@ Subcommands: verify-rep, identities, simulate, equivalence, reconstruct,
 addition-check.  Exit codes: 0 success, 1 computational failure, 2 usage or
 config error.  Configs are schema-checked (unknown keys rejected) before any
 computation runs; identical inputs (config, plus ``--seed`` for equivalence
-and addition-check) give byte-identical outputs.
+and addition-check) give byte-identical outputs on a fixed numpy/BLAS build and
+BLAS thread count.
 """
 
 from __future__ import annotations
@@ -242,12 +243,15 @@ def _load_config(path: str) -> dict:
 
 
 def _emit(payload: dict, out: str | None) -> None:
+    """Write payload as json.dump(payload, fh, sort_keys=True, indent=2) and a
+    newline would, byte for byte (see ensemble.write_json for the float arrays
+    it may also hold)."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
+            ens.write_json(fh.write, payload)
             fh.write("\n")
     else:
-        json.dump(payload, sys.stdout, sort_keys=True, indent=2)
+        ens.write_json(sys.stdout.write, payload)
         sys.stdout.write("\n")
 
 
@@ -427,15 +431,13 @@ def cmd_reconstruct(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"config.reconstruction: {exc}") from exc
     result = reconstruct(phi, grid, profile, density, config)
-    undefined = set(result.undefined_nodes)
+    undefined = np.zeros(grid.size, dtype=bool)
+    undefined[list(result.undefined_nodes)] = True
     payload = {
-        "density": [v for v in result.density_est.values.tolist()],
-        "profile": [
-            None if j in undefined else result.profile_est.states[j].tolist()
-            for j in range(grid.size)
-        ],
+        "density": result.density_est.values,
+        "profile": ens.NullRows(result.profile_est.states, undefined),
         "ambiguity": result.ambiguity,
-        "undefined_nodes": sorted(undefined),
+        "undefined_nodes": sorted(result.undefined_nodes),
         "diagnostics": result.diagnostics,
     }
     _emit(payload, args.out)
@@ -448,12 +450,11 @@ def cmd_reconstruct(args) -> int:
         ) < float(np.nansum(direct))
         if use_flip:
             est = -est
+        # fmax/fmin clamp a NaN dot to -1 as Python's max and min do.
+        dots = np.fmin(1.0, np.fmax(-1.0, ens.row_dots(est, profile.states)))
         # math.acos per node, so the angle bits do not depend on numpy's SIMD arccos.
-        angles = np.full(grid.size, np.nan)
-        for j in range(grid.size):
-            if j not in undefined:
-                dot = float(np.dot(est[j], profile.states[j]))
-                angles[j] = math.acos(min(1.0, max(-1.0, dot)))
+        angles = np.array(list(map(math.acos, dots.tolist())))
+        angles[undefined] = np.nan
         ens._write_csv(
             args.report,
             ("sigma1", "sigma2", "rho_true", "rho_est", "angle_error_rad"),

@@ -13,6 +13,7 @@ tensor Gauss-Legendre grid.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
@@ -213,6 +214,14 @@ def _cross(a: np.ndarray, b: np.ndarray, axes: Sequence[int]) -> np.ndarray:
         np.multiply(a[:, i], b[:, j], out=out[d])
         out[d] -= a[:, j] * b[:, i]
     return out
+
+
+def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products of the rows (last axis) of a and b, broadcast over the
+    other axes.  numpy's matmul sends each stacked 1 x K by K x 1 product to
+    the inner loop np.dot uses, so every entry has the bits of np.dot on the
+    two rows; a matrix-vector product (a @ v) does not."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
 class RotationPlan:
@@ -538,20 +547,23 @@ def output_equiv_test(
     return EquivalenceVerdict("equivalent-so-far", worst)
 
 
-# Rows per block of the CSV writers.  Rows are formatted from Python floats,
-# about twice as fast as from numpy scalars; converting one block at a time
-# keeps those floats and their strings small next to the state arrays.
+# Rows per block of the CSV writers.  A block is formatted from Python floats,
+# about twice as fast as from numpy scalars, by one % on the row template
+# repeated; converting one block at a time keeps those floats and their
+# strings small next to the state arrays.
 _CSV_BLOCK = 256
 
 
 def _write_csv(path, names: Sequence[str], columns: Sequence[np.ndarray]) -> None:
     """Write float columns (1-D, or 2-D for several fields) as %.17g rows."""
     line = ",".join(["%.17g"] * len(names)) + "\n"
+    full = line * _CSV_BLOCK
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
         for lo in range(0, len(columns[0]), _CSV_BLOCK):
-            block = np.column_stack([c[lo : lo + _CSV_BLOCK] for c in columns]).tolist()
-            fh.write("".join(line % tuple(r) for r in block))
+            block = np.column_stack([c[lo : lo + _CSV_BLOCK] for c in columns])
+            template = full if len(block) == _CSV_BLOCK else line * len(block)
+            fh.write(template % tuple(block.ravel().tolist()))
 
 
 def write_trace_csv(trace: OutputTrace, path) -> None:
@@ -566,3 +578,78 @@ def write_profile_csv(
         ("sigma1", "sigma2", "weight", "rho", "x1", "x2", "x3"),
         (grid.nodes, grid.weights, density.values, profile.states),
     )
+
+
+# Rows per block of the JSON writer's float arrays; one block's floats and
+# text stay small next to the arrays themselves.
+_JSON_BLOCK = 256
+
+
+class NullRows:
+    """A float array for write_json whose rows (elements, if 1-D) where null is
+    True are written as null.  A plain class: numpy.ma costs more to import
+    than writing a 64 x 64 grid, and a dataclass compiles its methods at
+    import, which measurably raised a CLI call's peak memory."""
+
+    def __init__(self, values: np.ndarray, null: np.ndarray):
+        self.values = values
+        self.null = null
+
+
+def write_json(write, value, pad: str = "\n") -> None:
+    """Write value through write as json.dump(value, fh, sort_keys=True,
+    indent=2) would, byte for byte; pad is a newline and the indent of value's
+    own line.  Dict keys are strings.  value may also hold float arrays, 1-D
+    or 2-D with at least one column, written as json writes their tolist(),
+    and NullRows of them."""
+    inner = pad + "  "
+    if isinstance(value, np.ndarray):
+        _write_json_array(write, value, np.zeros(len(value), dtype=bool), pad)
+    elif isinstance(value, NullRows):
+        _write_json_array(write, value.values, value.null, pad)
+    elif isinstance(value, dict) and value:
+        sep = "{"
+        for key, item in sorted(value.items()):
+            write(f"{sep}{inner}{json.dumps(key)}: ")
+            write_json(write, item, inner)
+            sep = ","
+        write(pad + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        sep = "["
+        for item in value:
+            write(sep + inner)
+            write_json(write, item, inner)
+            sep = ","
+        write(pad + "]")
+    else:  # scalars, strings and empty containers
+        write(json.dumps(value))
+
+
+def _write_json_array(write, array: np.ndarray, null: np.ndarray, pad: str) -> None:
+    """A float array a block of rows at a time, each block by one % on a
+    repeated item template.  %r is the repr json writes for a finite float;
+    a finite repr holds no letter but e, so the nan and inf of the
+    non-finite ones are renamed to json's NaN and Infinity in place."""
+    if not len(array):
+        write("[]")
+        return
+    inner = pad + "  "
+    if array.ndim == 1:
+        item = inner + "%r"
+    else:
+        fields = ",".join([inner + "  %r"] * array.shape[1])
+        item = f"{inner}[{fields}{inner}]"
+    full = ",".join([item] * _JSON_BLOCK)
+    write("[")
+    for lo in range(0, len(array), _JSON_BLOCK):
+        hi = lo + _JSON_BLOCK
+        rows = null[lo:hi]
+        if rows.any():
+            template = ",".join([inner + "null" if r else item for r in rows.tolist()])
+            block = array[lo:hi][~rows]
+        else:
+            block = array[lo:hi]
+            template = full if len(block) == _JSON_BLOCK else ",".join([item] * len(block))
+        text = template % tuple(block.ravel().tolist())
+        write(("," if lo else "") + text.replace("nan", "NaN").replace("inf", "Infinity"))
+    write(pad + "]")

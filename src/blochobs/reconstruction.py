@@ -39,6 +39,7 @@ from .ensemble import (
     read_axes,
     rotate_planned,
     rotate_states,
+    row_dots,
     segment_axis,
 )
 from .exactlinalg import certified_gram_schmidt
@@ -217,7 +218,7 @@ class OutputSimulator:
             children = children.reshape(B * m * N, 3)
             numbers = (prefixes * B + choices).ravel()
             vals = phi_eval(children).reshape(B * m, N)
-            ys[level + 1][numbers] = [np.dot(base, v) for v in vals]
+            ys[level + 1][numbers] = row_dots(vals, base)
             del vals  # not needed by the levels below
             if level + 1 < depth:
                 for lo in range(0, B * m, per_block):
@@ -563,49 +564,60 @@ def _canonical_representative(x: np.ndarray) -> np.ndarray:
     return np.where(flip[:, None], -x, x)
 
 
-def _grid_neighbors(grid: ParameterGrid, j: int) -> list[int]:
-    n1, n2 = grid.shape
-    i1, i2 = divmod(j, n2)
-    out = []
-    if i1 > 0:
-        out.append(j - n2)
-    if i1 < n1 - 1:
-        out.append(j + n2)
-    if i2 > 0:
-        out.append(j - 1)
-    if i2 < n2 - 1:
-        out.append(j + 1)
-    return out
-
-
 def stitch_signs(
     states: np.ndarray, defined: np.ndarray, grid: ParameterGrid
 ) -> tuple[np.ndarray, int]:
     """Align per-node antipodal representatives across grid neighbors.
 
     Breadth-first from the first defined node of each connected component,
-    flipping each newly visited node toward its discovered neighbor.  Returns
-    the aligned states and the number of components stitched independently.
+    visiting neighbors up, down, left, right, and flipping each newly visited
+    node toward the node that discovered it.  Returns the aligned states and
+    the number of components stitched independently.
+
+    The dot of every grid edge is taken once, on the unflipped states.
+    Flipping an endpoint negates that dot exactly (rounding is symmetric), so
+    the test against the discoverer's current state reads the stored dot and
+    the discoverer's flip; a zero dot of either sign flips nothing.
     """
-    states = states.copy()
-    visited = np.zeros(grid.size, dtype=bool)
+    n1, n2 = grid.shape
+    cells = states.reshape(n1, n2, 3)
+    down = np.zeros((n1, n2))  # down[j]: node j with node j + n2
+    right = np.zeros((n1, n2))  # right[j]: node j with node j + 1
+    down[:-1] = row_dots(cells[:-1], cells[1:])
+    right[:, :-1] = row_dots(cells[:, :-1], cells[:, 1:])
+    down = down.ravel().tolist()
+    right = right.ravel().tolist()
+    defined = defined.tolist()
+    visited = [False] * grid.size
+    flipped = [False] * grid.size
     components = 0
     for seed in range(grid.size):
         if not defined[seed] or visited[seed]:
             continue
         components += 1
-        queue = [seed]
+        queue = [seed]  # read from head on: a pop(0) would cost O(len)
         visited[seed] = True
-        while queue:
-            u = queue.pop(0)
-            for v in _grid_neighbors(grid, u):
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            i1, i2 = divmod(u, n2)
+            edges = []
+            if i1 > 0:
+                edges.append((u - n2, down[u - n2]))
+            if i1 < n1 - 1:
+                edges.append((u + n2, down[u]))
+            if i2 > 0:
+                edges.append((u - 1, right[u - 1]))
+            if i2 < n2 - 1:
+                edges.append((u + 1, right[u]))
+            for v, dot in edges:
                 if not defined[v] or visited[v]:
                     continue
-                if float(np.dot(states[u], states[v])) < 0.0:
-                    states[v] = -states[v]
+                flipped[v] = dot > 0.0 if flipped[u] else dot < 0.0
                 visited[v] = True
                 queue.append(v)
-    return states, components
+    return np.where(np.array(flipped)[:, None], -states, states), components
 
 
 # --- end-to-end pipeline ----------------------------------------------------

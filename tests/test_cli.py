@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blochobs import cli
 from blochobs import ensemble as ens
 from blochobs.cli import main, parse_phi
 from blochobs.polynomials import Poly
@@ -635,6 +636,117 @@ def test_reconstruct_report_matches_per_node_writer(tmp_path):
         flips.add(_old_report(reference, grid, density, result, profile))
         assert report.read_bytes() == reference.read_bytes()
     assert flips == {False, True}
+
+
+def _old_payload(grid, result):
+    """The per-node payload cmd_reconstruct built before _emit took arrays."""
+    undefined = set(result.undefined_nodes)
+    return {
+        "density": [v for v in result.density_est.values.tolist()],
+        "profile": [
+            None if j in undefined else result.profile_est.states[j].tolist()
+            for j in range(grid.size)
+        ],
+        "ambiguity": result.ambiguity,
+        "undefined_nodes": sorted(undefined),
+        "diagnostics": result.diagnostics,
+    }
+
+
+@pytest.mark.parametrize("truth", [TRUTH, ANTIPODE], ids=["truth", "antipode"])
+def test_reconstruct_json_matches_per_node_payload(tmp_path, truth):
+    """17 x 17 nodes span two JSON blocks, the second one partial; every
+    seventh node has zero density, so its profile row is null."""
+    grid = ens.make_grid(ens.ParameterBox(0.0, 1.0, 0.5, 1.5), 17, 17)
+    assert grid.size > ens._JSON_BLOCK and grid.size % ens._JSON_BLOCK
+    values = [0.0 if j % 7 == 0 else 1.0 + 0.01 * j for j in range(grid.size)]
+    cfg = {
+        "box": {"a1": 0.0, "b1": 1.0, "a2": 0.5, "b2": 1.5},
+        "grid": {"n1": 17, "n2": 17},
+        "phi": {"degree": 2, "named": "x1x2"},
+        "truth": {"profile": truth["profile"], "density": {"kind": "table", "values": values}},
+    }
+    out = tmp_path / "r.json"
+    path = write_config(tmp_path, cfg)
+    assert main(["reconstruct", "--config", path, "--mode", "oracle-psi", "--out", str(out)]) == 0
+    p = truth["profile"]
+    profile = ens.angles_profile(grid, p["theta"], p["phi"])
+    density = ens.table_density(grid, values)
+    result = reconstruct(
+        parse_phi(cfg["phi"]), grid, profile, density, ReconstructionConfig("oracle-psi")
+    )
+    assert len(result.undefined_nodes) == len(values[::7])
+    reference = tmp_path / "reference.json"
+    with open(reference, "w", encoding="utf-8") as fh:
+        json.dump(_old_payload(grid, result), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+    assert out.read_bytes() == reference.read_bytes()
+
+
+_SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e300, -2.5e-17, 0.1]
+_STRINGS = ["", "plain", "quote\"back\\slash", "line\nbreak\ttab", "\x00\x1f", "σ₁ρ☃", "\U0001f600"]
+
+
+def _random_json(rng, depth):
+    """A random payload for _emit and the plain json equivalent of it."""
+    kind = rng.integers(0, 10 if depth < 3 else 5)
+    if kind == 0:
+        value = int(rng.integers(-(10**6), 10**6)) * int(rng.choice([1, 10**30]))
+        return value, value
+    if kind == 1:
+        value = [True, False, None][rng.integers(0, 3)]
+        return value, value
+    if kind == 2:
+        value = _STRINGS[rng.integers(0, len(_STRINGS))]
+        return value, value
+    if kind in (3, 4):
+        value = float(_SPECIAL_FLOATS[rng.integers(0, len(_SPECIAL_FLOATS))])
+        if rng.random() < 0.5:
+            value = float(rng.normal() * 10.0 ** rng.integers(-300, 300))
+        return value, value
+    if kind in (5, 6):
+        shape = (int(rng.choice([0, 1, 4, 300])),)
+        if kind == 6:
+            shape += (int(rng.integers(1, 5)),)
+        array = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+        specials = rng.random(shape) < 0.1
+        array[specials] = rng.choice(_SPECIAL_FLOATS, size=int(specials.sum()))
+        plain = array.tolist()
+        if rng.random() < 0.5:
+            null = rng.random(shape[0]) < 0.3
+            array = ens.NullRows(array, null)
+            plain = [None if n else row for n, row in zip(null.tolist(), plain)]
+        return array, plain
+    if kind == 7:
+        pairs = [_random_json(rng, depth + 1) for _ in range(rng.integers(0, 4))]
+        return [p[0] for p in pairs], [p[1] for p in pairs]
+    if kind == 8:
+        pairs = [_random_json(rng, depth + 1) for _ in range(rng.integers(0, 3))]
+        return tuple(p[0] for p in pairs), [p[1] for p in pairs]
+    keys = [_STRINGS[i] + str(i) for i in rng.permutation(len(_STRINGS))[: rng.integers(0, 5)]]
+    pairs = [_random_json(rng, depth + 1) for _ in keys]
+    return (
+        {k: p[0] for k, p in zip(keys, pairs)},
+        {k: p[1] for k, p in zip(keys, pairs)},
+    )
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_emit_matches_json_dump(tmp_path, capsys, seed):
+    rng = np.random.default_rng(seed)
+    payload, plain = _random_json(rng, 0)
+    if seed % 4 == 0:  # payloads that are all arrays, like reconstruct's
+        fields = [_random_json(rng, 2) for _ in range(3)]
+        arrays = (np.ndarray, ens.NullRows)
+        while not all(isinstance(f[0], arrays) for f in fields):
+            fields = [f if isinstance(f[0], arrays) else _random_json(rng, 2) for f in fields]
+        payload = {"a": fields[0][0], "b": {"c": fields[1][0], "d": [fields[2][0]]}}
+        plain = {"a": fields[0][1], "b": {"c": fields[1][1], "d": [fields[2][1]]}}
+    want = json.dumps(plain, sort_keys=True, indent=2) + "\n"
+    cli._emit(payload, str(tmp_path / "out.json"))
+    assert (tmp_path / "out.json").read_text(encoding="utf-8") == want
+    cli._emit(payload, None)
+    assert capsys.readouterr().out == want
 
 
 def test_reconstruct_rejects_constant_phi(tmp_path):

@@ -699,3 +699,19 @@ def test_csv_writers_match_per_row_reference(tmp_path, monkeypatch, block):
     write_trace_csv(trace, tmp_path / "trace.csv")
     _write_csv_per_row(tmp_path / "ref.csv", "t,y\n", zip(trace.times, trace.values))
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [5, 10_007])
+@pytest.mark.parametrize("k", [3, 64])
+def test_row_dots_match_per_row_dot(k, rows):
+    """Each stacked row dot has the bits of np.dot on its two rows, for a
+    second stack of rows and for one vector broadcast against the stack (the
+    two forms stitch_signs, the report and output_tree use)."""
+    rng = np.random.default_rng(k + rows)
+    a = rng.normal(size=(rows, k)) * rng.uniform(1e-3, 1e3, size=(rows, 1))
+    b = rng.normal(size=(rows, k))
+    per_row = np.array([np.dot(x, y) for x, y in zip(a, b)])
+    assert ensemble.row_dots(a, b).tobytes() == per_row.tobytes()
+    base = b[0]
+    per_row = np.array([np.dot(base, x) for x in a])
+    assert ensemble.row_dots(a, base).tobytes() == per_row.tobytes()

@@ -573,6 +573,67 @@ def test_stitch_signs_single_and_empty():
     assert components == 0
 
 
+def _stitch_signs_reference(states, defined, grid):
+    """The per-edge stitch kept as the reference: a list queue, and one np.dot
+    per edge on the states as flipped so far."""
+    n1, n2 = grid.shape
+    states = states.copy()
+    visited = np.zeros(grid.size, dtype=bool)
+    components = 0
+    for seed in range(grid.size):
+        if not defined[seed] or visited[seed]:
+            continue
+        components += 1
+        queue = [seed]
+        visited[seed] = True
+        while queue:
+            u = queue.pop(0)
+            i1, i2 = divmod(u, n2)
+            neighbors = []
+            if i1 > 0:
+                neighbors.append(u - n2)
+            if i1 < n1 - 1:
+                neighbors.append(u + n2)
+            if i2 > 0:
+                neighbors.append(u - 1)
+            if i2 < n2 - 1:
+                neighbors.append(u + 1)
+            for v in neighbors:
+                if not defined[v] or visited[v]:
+                    continue
+                if float(np.dot(states[u], states[v])) < 0.0:
+                    states[v] = -states[v]
+                visited[v] = True
+                queue.append(v)
+    return states, components
+
+
+@pytest.mark.parametrize(
+    "shape", [(1, 1), (1, 9), (9, 1), (2, 2), (6, 7), (11, 8), (16, 16)]
+)
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stitch_signs_matches_reference(shape, seed):
+    """Random unit states, a quarter of them axis vectors so that exact zero
+    dots of both signs occur; holes cut the grid into several components;
+    undefined nodes hold NaN as in reconstruct."""
+    grid = make_grid(BOX, *shape)
+    rng = np.random.default_rng(seed)
+    states = rng.normal(size=(grid.size, 3))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    axes = np.array([[1.0, 0, 0], [0, 1.0, 0], [0, 0, -1.0], [-0.0, 0, 1.0]])
+    on_axis = rng.random(grid.size) < 0.25
+    states[on_axis] = axes[rng.integers(0, 4, on_axis.sum())]
+    states *= np.where(rng.random(grid.size) < 0.5, 1.0, -1.0)[:, None]
+    defined = rng.random(grid.size) < 0.7
+    if grid.shape[1] > 2:
+        defined[grid.shape[1] // 2 :: grid.shape[1]] = False  # a wall of holes
+    states[~defined] = np.nan
+    got, components = stitch_signs(states, defined, grid)
+    want, want_components = _stitch_signs_reference(states, defined, grid)
+    assert got.tobytes() == want.tobytes()
+    assert components == want_components
+
+
 def test_reconstruct_oracle_psi_n1():
     grid = make_grid(BOX, 10, 10)
     profile, density = smooth_truth(grid)
