@@ -357,8 +357,7 @@ def cmd_simulate(args) -> int:
     trace = ens.simulate(profile, grid, density, schedule, phi, dt)
     ens.write_trace_csv(trace, args.out)
     if args.profile_out:
-        final = ens.evolve_profile(profile, grid, schedule)
-        ens.write_profile_csv(final, grid, density, args.profile_out)
+        ens.write_profile_csv(ens.Profile(trace.states), grid, density, args.profile_out)
     return 0
 
 

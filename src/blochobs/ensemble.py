@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,11 +24,15 @@ from .polynomials import Poly
 
 _SMALL_ANGLE = 1e-8
 
-# Node states per block of simulate and of the measured-moments prefix tree.
-# At 1024 a 256-node grid batches 4 samples per numpy call (2 in equivalence,
-# which stacks both pairs); 4096 ran no faster there and raised the peak
-# resident memory by about 0.3 MB.
+# Node-samples per evaluation of phi in simulate, and node states per block of
+# the measured-moments prefix tree.  At 1024 a 256-node grid batches 4 samples
+# per numpy call (2 in equivalence, which stacks both pairs); 4096 ran no
+# faster there and raised the peak resident memory by about 0.3 MB.
 _BLOCK = 1024
+# Node rows per block of simulate's segment set-up and in-place segment-end
+# rotation.  On a 192 x 192 grid over 100 segments, 1024 took 0.3 s longer
+# than 4096 and 8192 ran no faster; the samples, not the blocks, set the peak.
+_NODE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -198,22 +202,11 @@ class ControlSchedule:
 class OutputTrace:
     times: np.ndarray
     values: np.ndarray
+    states: np.ndarray  # (N, 3) at the end of the schedule
 
     def __post_init__(self):
         if self.times.shape != self.values.shape:
             raise ValueError("times and values must have equal length")
-
-
-def _cross(a: np.ndarray, b: np.ndarray, axes: Sequence[int]) -> np.ndarray:
-    """Rows d in axes of np.cross(a, b).T for (M, 3) a and b, as contiguous
-    columns of a (3, M) array; np.cross's products and differences in its
-    order, so the bits are the same.  Rows not in axes are left unset."""
-    out = np.empty((3, len(a)))
-    for d in axes:
-        i, j = (d + 1) % 3, (d + 2) % 3
-        np.multiply(a[:, i], b[:, j], out=out[d])
-        out[d] -= a[:, j] * b[:, i]
-    return out
 
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -240,98 +233,70 @@ class RotationPlan:
         self.axis = omega / np.where(self.norms == 0.0, 1.0, self.norms)[:, None]
         if tau is not None:
             self.tau = tau
-            self.trig = self.angles(tau, np.empty((3, len(omega))))
-
-    def angles(self, tau: float, work: np.ndarray):
-        """cos and sin of the angles, in rows 1 and 2 of the (3, rows) work
-        array, and the indices of the small angles."""
-        tmp, cos, sin = work
-        np.multiply(self.norms, tau, out=tmp)
-        np.cos(tmp, out=cos)
-        np.sin(tmp, out=sin)
-        return cos, sin, np.flatnonzero(np.abs(tmp, out=tmp) < _SMALL_ANGLE)
+            self.trig = _angles(self.norms, tau, np.empty((3, len(omega))))
 
     def bind(self, states: np.ndarray, axes: Sequence[int] = range(3)):
-        """The cross products (rows d in axes of a (3, M) array) and the dot
-        products of the leading M unit axes with the C-ordered (M, 3) states;
-        einsum's summation order depends on the memory layout."""
+        """The cross products (rows d in axes of a (3, M) array, from
+        np.cross's products and differences in its order, so with its bits)
+        and the dot products of the leading M unit axes with the C-ordered
+        (M, 3) states; einsum's summation order depends on the memory layout."""
         axis = self.axis[: len(states)]
-        return _cross(axis, states, axes), np.einsum("ij,ij->i", axis, states)
+        cross = np.empty((3, len(states)))
+        for d in axes:
+            i, j = (d + 1) % 3, (d + 2) % 3
+            np.multiply(axis[:, i], states[:, j], out=cross[d])
+            cross[d] -= axis[:, j] * states[:, i]
+        return cross, np.einsum("ij,ij->i", axis, states)
 
-    def write(self, states, cross, dot, tau, trig, axes, out, scratch) -> None:
-        """The rotation formula: out[d] = states*cos + cross*sin +
-        axis*(dot*(1-cos)) for d in axes, summed in this order, so the bits
-        match the one-expression formula.  trig is (cos, sin, small) on the
-        rows of states; scratch is two row buffers, the second of which may be
-        sin, since dot*(1-cos) is formed there once sin is read."""
-        cos, sin, small = trig
-        tmp, scale = scratch
-        axis = self.axis[: len(states)]
+
+def _angles(norms: np.ndarray, tau: float, work: np.ndarray):
+    """cos and sin of the angles norms*tau, in rows 1 and 2 of the (3, rows)
+    work array, and the indices of the small angles."""
+    tmp, cos, sin = work
+    np.multiply(norms, tau, out=tmp)
+    np.cos(tmp, out=cos)
+    np.sin(tmp, out=sin)
+    return cos, sin, np.flatnonzero(np.abs(tmp, out=tmp) < _SMALL_ANGLE)
+
+
+def _write(states, cross, axis, dot, tau, trig, axes, out, scratch, omega_rows) -> None:
+    """The rotation formula: out[d] = states[:, d]*cos + cross[d]*sin +
+    axis[d]*(dot*(1-cos)) for d in axes, summed in this order, so the bits match
+    the one-expression formula.  cross, axis and out are rows of (3, rows) arrays
+    or dicts of the rows in axes; out may be states.T.  trig is (cos, sin, small)
+    on the rows of states, omega_rows(small) the omega rows of the small angles,
+    and scratch two row buffers, the second of which may be sin."""
+    cos, sin, small = trig
+    tmp, scale = scratch
+    x = states[small]
+    for d in axes:
+        np.multiply(states[:, d], cos, out=out[d])
+        out[d] += np.multiply(cross[d], sin, out=tmp)
+    np.multiply(dot, np.subtract(1.0, cos, out=scale), out=scale)
+    for d in axes:
+        out[d] += np.multiply(axis[d], scale, out=tmp)
+    if small.size:
+        # second-order series in tau avoids 0/0 on the axis normalization
+        omega = omega_rows(small)
+        wxs = np.cross(omega, x)
+        wwxs = np.cross(omega, wxs)
         for d in axes:
-            np.multiply(states[:, d], cos, out=out[d])
-            out[d] += np.multiply(cross[d], sin, out=tmp)
-        np.multiply(dot, np.subtract(1.0, cos, out=scale), out=scale)
-        for d in axes:
-            out[d] += np.multiply(axis[:, d], scale, out=tmp)
-        if small.size:
-            # second-order series in tau avoids 0/0 on the axis normalization
-            x = states[small]
-            wxs = np.cross(self.omega[small], x)
-            wwxs = np.cross(self.omega[small], wxs)
-            for d in axes:
-                out[d, small] = x[:, d] + tau * wxs[:, d] + 0.5 * tau * tau * wwxs[:, d]
+            out[d][small] = x[:, d] + tau * wxs[:, d] + 0.5 * tau * tau * wwxs[:, d]
 
 
 def rotate_planned(
     states: np.ndarray, plan: RotationPlan, axes: Sequence[int], out: np.ndarray
 ) -> None:
     """Rotate the C-ordered (M, 3) states by a fixed-duration plan of at least
-    M rows, writing coordinate d in axes to out[d] of a (3, M) view."""
+    M rows, writing coordinate d in axes to out[d] of a (3, M) view, which
+    may be states.T."""
     rows = len(states)
     cross, dot = plan.bind(states, axes)
     cos, sin, small = plan.trig
     if small.size and small[-1] >= rows:
         small = small[: np.searchsorted(small, rows)]
-    scratch = np.empty((2, rows))
-    plan.write(states, cross, dot, plan.tau, (cos[:rows], sin[:rows], small), axes, out, scratch)
-
-
-class _rotation:
-    """Axis-angle rotation of each row of states about its own omega row.
-
-    The plan and the cross and dot products with the states are computed
-    here once.  Each duration then pays only for the angles, cos/sin and one
-    combination per coordinate computed.
-    """
-
-    def __init__(self, states: np.ndarray, omega: np.ndarray):
-        self.states = states
-        self.plan = RotationPlan(omega)
-        self.cross, self.dot = self.plan.bind(states)
-
-    def __call__(self, tau: float) -> np.ndarray:
-        rotated = np.empty(self.states.shape)  # C order, as the next set-up needs
-        self._write(tau, range(3), rotated.T, np.empty((3, len(rotated))))
-        return rotated
-
-    def samples(self, taus: Sequence[float], axes: Sequence[int]) -> Iterator[np.ndarray]:
-        """The states after each duration in taus, in blocks of at most _BLOCK
-        node-samples: (m*N, 3) views of one reused (3, m*N) buffer, so each
-        coordinate is a contiguous column.  Coordinates not in axes are NaN."""
-        n = len(self.states)
-        m = max(1, _BLOCK // n)
-        work = np.empty((3, n))
-        buf = np.full((3, min(m, len(taus)) * n), np.nan)
-        for lo in range(0, len(taus), m):
-            chunk = taus[lo : lo + m]
-            out = buf[:, : len(chunk) * n]
-            for j, tau in enumerate(chunk):
-                self._write(tau, axes, out[:, j * n : (j + 1) * n], work)
-            yield out.T
-
-    def _write(self, tau, axes, out, work) -> None:
-        trig = self.plan.angles(tau, work)
-        self.plan.write(self.states, self.cross, self.dot, tau, trig, axes, out, (work[0], work[2]))
+    trig, axis = (cos[:rows], sin[:rows], small), plan.axis[:rows].T
+    _write(states, cross, axis, dot, plan.tau, trig, axes, out, np.empty((2, rows)), plan.omega.__getitem__)
 
 
 def segment_axis(sigma: np.ndarray, u: Sequence[float]) -> np.ndarray:
@@ -347,7 +312,9 @@ def segment_axis(sigma: np.ndarray, u: Sequence[float]) -> np.ndarray:
 def rotate_states(
     states: np.ndarray, sigmas: np.ndarray, u: Sequence[float], tau: float
 ) -> np.ndarray:
-    return _rotation(states, segment_axis(sigmas, u))(tau)
+    rotated = np.empty(states.shape)
+    rotate_planned(states, RotationPlan(segment_axis(sigmas, u), tau), range(3), rotated.T)
+    return rotated
 
 
 def evolve_profile(
@@ -360,7 +327,8 @@ def evolve_profile(
 
 
 def compile_phi(phi: Poly) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized evaluator for a real observable over (N, 3) state arrays.
+    """Vectorized evaluator for a real observable over (N, 3) state arrays,
+    or (N, R) arrays of only the R coordinates phi reads, in axis order.
 
     Powers come from iterated multiplication, not libm pow, so evaluation is
     exactly parity-covariant: even-degree observables give bitwise-identical
@@ -383,15 +351,16 @@ def compile_phi(phi: Poly) -> Callable[[np.ndarray], np.ndarray]:
         for d in range(3)
     ]
     constant = np.flatnonzero(~exps.any(axis=1))
+    reads = [d for d in range(3) if steps[d]]
 
     def evaluate(states: np.ndarray) -> np.ndarray:
         if exps.shape[0] == 0:
             return np.zeros(states.shape[0])
         term_vals = np.empty((states.shape[0], exps.shape[0]))
         term_vals[:, constant] = 1.0
-        for d, powers in enumerate(steps):
-            x = power = states[:, d]
-            for e, terms in enumerate(powers, start=1):
+        for j, d in enumerate(reads):
+            x = power = states[:, d if states.shape[1] == 3 else j]
+            for e, terms in enumerate(steps[d], start=1):
                 if e > 1:
                     power = np.multiply(power, x, out=None if e == 2 else power)
                 for t, first in terms:
@@ -423,9 +392,10 @@ def simulate(
     phi: Poly,
     dt: float,
 ) -> OutputTrace:
-    """Sample y(t) at multiples of dt plus every segment boundary."""
-    times, (values,) = _simulate_pairs([(profile, density)], grid, schedule, phi, dt)
-    return OutputTrace(times, values)
+    """Sample y(t) at multiples of dt plus every segment boundary; the trace
+    also holds the states at the end of the schedule."""
+    times, (values,), states = _simulate_pairs([(profile, density)], grid, schedule, phi, dt)
+    return OutputTrace(times, values, states)
 
 
 def _simulate_pairs(
@@ -434,10 +404,10 @@ def _simulate_pairs(
     schedule: ControlSchedule,
     phi: Poly,
     dt: float,
-) -> tuple[np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """simulate for every (profile, density) pair in one pass: the pairs'
     states are stacked, so each numpy call serves all of them.  Returns the
-    sample times and one value array per pair."""
+    sample times, one value array per pair and the stacked final states."""
     if not dt > 0:  # NaN fails too
         raise ValueError("dt must be positive")
     total = schedule.total_duration
@@ -445,13 +415,11 @@ def _simulate_pairs(
     for tau, _, _ in schedule.segments:
         boundaries.append(boundaries[-1] + tau)
     samples = set(boundaries)
-    t = 0.0
-    k = 0
     slack = 1e-12 * max(1.0, total)
-    while t <= total + slack:
-        samples.add(min(t, total))
+    k = 0
+    while k * dt <= total + slack:
+        samples.add(min(k * dt, total))
         k += 1
-        t = k * dt
     times = sorted(samples)
     phi_eval = compile_phi(phi)
     axes = read_axes(phi)
@@ -466,14 +434,43 @@ def _simulate_pairs(
             p = i % len(pairs)
             values[p].append(float(np.dot(bases[p], vals[lo : lo + n])))
 
-    if len(pairs) == 1:  # no copies: they would cost a wide grid its size in peak memory
-        sigmas, states = grid.nodes, pairs[0][0].states
-    else:
-        sigmas = np.tile(grid.nodes, (len(pairs), 1))
-        states = np.concatenate([profile.states for profile, _ in pairs])
+    sigmas = grid.nodes if len(pairs) == 1 else np.tile(grid.nodes, (len(pairs), 1))
+    # the one working copy, rotated in place at each segment end
+    states = np.concatenate([profile.states for profile, _ in pairs])
+    rows = len(states)
+    m = max(1, _BLOCK // rows)  # samples per evaluation of phi
+
+    def sample(durations: list[float], u: tuple[float, float]) -> None:
+        # the segment's norms, dot products, and cross rows and axis columns
+        # of the coordinates phi reads, set up a node block at a time
+        norms, dot = np.empty(rows), np.empty(rows)
+        cross = {d: np.empty(rows) for d in axes}
+        axis = {d: np.empty(rows) for d in axes}
+        for lo in range(0, rows, _NODE_BLOCK):
+            block = slice(lo, lo + _NODE_BLOCK)
+            plan = RotationPlan(segment_axis(sigmas[block], u))
+            c, dot[block] = plan.bind(states[block], axes)
+            norms[block] = plan.norms
+            for d in axes:
+                cross[d][block], axis[d][block] = c[d], plan.axis[:, d]
+            del c, plan  # before the next block's
+        work = np.empty((3, rows))
+        buf = np.empty((len(axes), m * rows))  # the coordinates phi reads
+
+        def omega_rows(small: np.ndarray) -> np.ndarray:
+            return segment_axis(sigmas[small], u)
+
+        for lo in range(0, len(durations), m):
+            chunk = durations[lo : lo + m]
+            out = buf[:, : len(chunk) * rows]
+            for j, tau in enumerate(chunk):
+                cols = dict(zip(axes, out[:, j * rows : (j + 1) * rows]))
+                trig = _angles(norms, tau, work)
+                _write(states, cross, axis, dot, tau, trig, axes, cols, (work[0], work[2]), omega_rows)
+            y(out.T)
+
     i = 0
     for k, (tau, u1, u2) in enumerate(schedule.segments):
-        rotation = _rotation(states, segment_axis(sigmas, (u1, u2)))
         durations = []
         while i < len(times) and times[i] <= boundaries[k + 1] + slack:
             if times[i] > boundaries[k]:
@@ -481,13 +478,16 @@ def _simulate_pairs(
             else:
                 y(states)
             i += 1
-        for block in rotation.samples(durations, axes):
-            y(block)
-        states = rotation(tau)
-        del rotation  # free this segment's arrays before the next set-up
+        if durations:
+            sample(durations, (u1, u2))
+        for lo in range(0, rows, _NODE_BLOCK):  # in place, a node block at a time
+            block = states[lo : lo + _NODE_BLOCK]
+            plan = RotationPlan(segment_axis(sigmas[lo : lo + _NODE_BLOCK], (u1, u2)), tau)
+            rotate_planned(block, plan, range(3), block.T)
+            del plan  # before the next block's
     for _ in times[i:]:  # an empty schedule samples t = 0
         y(states)
-    return np.array(times), [np.array(v) for v in values]
+    return np.array(times), [np.array(v) for v in values], states
 
 
 @dataclass(frozen=True)
@@ -531,7 +531,7 @@ def output_equiv_test(
     worst = 0.0
     for trial in range(trials):
         schedule = random_schedule(rng)
-        times, (values_a, values_b) = _simulate_pairs([pair_a, pair_b], grid, schedule, phi, dt)
+        times, (values_a, values_b), _ = _simulate_pairs([pair_a, pair_b], grid, schedule, phi, dt)
         gaps = np.abs(values_a - values_b)
         exceeding = np.nonzero(gaps > tol)[0]
         if exceeding.size:

@@ -65,3 +65,29 @@ def test_traced_feature_basis(tmp_path):
     names = {span[0] for span in rec["trace"]["spans"]}
     assert {"reconstruction.FeatureBasis.init", "reconstruction.fit"} <= names
     assert json.loads(out.read_text())["size"] == 6
+
+
+def test_traced_simulate_with_profile_out(tmp_path):
+    """The tracer reads len(r.times) from what simulate returns, and set-up
+    ends at the first call to ensemble.simulate."""
+    cfg = {
+        "box": BOX,
+        "grid": {"n1": 5, "n2": 6},
+        "phi": {"degree": 1, "named": "x3"},
+        "density": {"kind": "gaussian", "center": [0.5, 1.0], "widths": [0.6, 0.6]},
+        "profile": {"kind": "angles", "theta": [0.8, 0.5, 0.3], "phi": [0.2, 0.9, -0.4]},
+        "schedule": [[0.4, 1.0, -0.5], [0.3, -0.7, 0.2]],
+        "dt": 0.1,
+    }
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps(cfg))
+    trace, profile = tmp_path / "trace.csv", tmp_path / "profile.csv"
+    rec = _run_child(
+        tmp_path, "cli", "simulate", "--config", str(path), "--out", str(trace),
+        "--profile-out", str(profile),
+    )
+    spans = [span for span in rec["trace"]["spans"] if span[0] == "ensemble.simulate"]
+    samples = len(trace.read_text().splitlines()) - 1
+    assert [span[4] for span in spans] == [{"samples": samples}]
+    assert "first_call" in rec
+    assert len(profile.read_text().splitlines()) == 1 + 30

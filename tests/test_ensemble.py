@@ -399,8 +399,8 @@ def test_equivalence_rejects_meaningless_settings(trials, tol):
         output_equiv_test(pair, pair, grid, X3, trials=trials, seed=0, tol=tol)
 
 
-def _simulate_reference(profile, grid, density, schedule, phi, dt):
-    """Per-sample reference: rotate from the segment start at every sample."""
+def _sample_times(schedule, dt):
+    """simulate's sample times, the segment boundaries and the slack."""
     total = schedule.total_duration
     slack = 1e-12 * max(1.0, total)
     boundaries = [0.0]
@@ -411,7 +411,12 @@ def _simulate_reference(profile, grid, density, schedule, phi, dt):
     while k * dt <= total + slack:
         samples.add(min(k * dt, total))
         k += 1
-    times = sorted(samples)
+    return sorted(samples), boundaries, slack
+
+
+def _simulate_reference(profile, grid, density, schedule, phi, dt):
+    """Per-sample reference: rotate from the segment start at every sample."""
+    times, boundaries, slack = _sample_times(schedule, dt)
     phi_eval = compile_phi(phi)
     base = grid.weights * density.values
     values = []
@@ -499,44 +504,202 @@ def test_simulate_matches_per_sample_reference(schedule, dt, phi, block, monkeyp
     assert np.array_equal(trace.values, values)
 
 
+class _Rotation:
+    """The sequential sampler simulate used before its bounded working set,
+    kept as the bit reference: a segment's norms, unit axes, and cross and dot
+    products with its start states over all nodes, set up once; then the
+    rotation formula as one expression per duration."""
+
+    def __init__(self, states, omega):
+        self.states, self.omega = states, omega
+        self.norms = np.linalg.norm(omega, axis=1)
+        self.axis = omega / np.where(self.norms == 0.0, 1.0, self.norms)[:, None]
+        self.cross = np.cross(self.axis, states)
+        self.dot = np.einsum("ij,ij->i", self.axis, states)
+
+    def __call__(self, tau):
+        angles = self.norms * tau
+        cos, sin = np.cos(angles), np.sin(angles)
+        rotated = (
+            self.states * cos[:, None]
+            + self.cross * sin[:, None]
+            + self.axis * (self.dot * (1.0 - cos))[:, None]
+        )
+        small = np.abs(angles) < ensemble._SMALL_ANGLE
+        if small.any():
+            x, omega = self.states[small], self.omega[small]
+            wxs = np.cross(omega, x)
+            rotated[small] = x + tau * wxs + 0.5 * tau * tau * np.cross(omega, wxs)
+        return rotated
+
+
+def _sequential_states(states, grid, schedule, dt):
+    """The states at each sample time and, last, at the end of the schedule,
+    one sample at a time through _Rotation."""
+    times, boundaries, slack = _sample_times(schedule, dt)
+    i = 0
+    for k, (tau, u1, u2) in enumerate(schedule.segments):
+        rotation = _Rotation(states, ensemble.segment_axis(grid.nodes, (u1, u2)))
+        while i < len(times) and times[i] <= boundaries[k + 1] + slack:
+            yield rotation(times[i] - boundaries[k]) if times[i] > boundaries[k] else states
+            i += 1
+        states = rotation(tau)
+    for _ in times[i:]:
+        yield states
+    yield states
+
+
+def _simulate_sequential(pairs, grid, schedule, phi, dt):
+    """simulate's sample times, values per pair and stacked final states, one
+    pair and one sample at a time."""
+    times, _, _ = _sample_times(schedule, dt)
+    phi_eval = compile_phi(phi)
+    values, finals = [], []
+    for profile, density in pairs:
+        base = grid.weights * density.values
+        *samples, final = _sequential_states(profile.states, grid, schedule, dt)
+        values.append(np.array([float(np.dot(base, phi_eval(x))) for x in samples]))
+        finals.append(final)
+    return np.array(times), values, np.concatenate(finals)
+
+
+# The schedule of the sequential-reference tests: the sample at 0.3 lies about
+# 1e-10 after the first boundary, the 1e-9 segment turns every node by less
+# than 1e-8 (series branch), and the last segment has zero control.
+SEQUENTIAL = ((0.3 - 1e-10, 1.0, -0.5), (1e-9, 0.7, 1.9), (0.25, -1.1, 0.6), (0.2, 0.0, 0.0))
+SEQ_PHIS = [Poly.constant(3), X3, X1 * X2, X1 * X2 * X3]
+SEQ_IDS = ["constant", "x3", "x1x2", "x1x2x3"]
+
+
+@pytest.mark.parametrize("phi", SEQ_PHIS, ids=SEQ_IDS)
+@pytest.mark.parametrize(
+    "n1, n2, dt",
+    [(1, 1, 0.03), (3, 5, 0.03), (3, 5, 10.0), (16, 17, 0.02), (64, 65, 0.05), (101, 103, 0.07)],
+    ids=["1x1", "3x5", "3x5-dt-beyond-duration", "16x17", "64x65", "101x103"],
+)
+def test_simulate_matches_sequential_reference(n1, n2, dt, phi):
+    """Values and final states are the sequential sampler's bits, on grids
+    that split into uneven node blocks (64 x 65, 101 x 103) and sample
+    batches (16 x 17 takes 3 samples per batch), and the final states are
+    evolve_profile's.  The caller's states are not written."""
+    grid = make_grid(SYM_BOX, n1, n2)
+    profile = angles_profile(grid, (0.7, 0.2, 0.1), (0.0, 0.9, 0.4))
+    start = profile.states.copy()
+    density = gaussian_density(grid, (0.1, 1.0), (0.6, 0.6))
+    schedule = ControlSchedule(SEQUENTIAL)
+    times, (values,), final = _simulate_sequential([(profile, density)], grid, schedule, phi, dt)
+    trace = simulate(profile, grid, density, schedule, phi, dt)
+    assert np.array_equal(trace.times, times)
+    assert trace.values.tobytes() == values.tobytes()
+    assert trace.states.tobytes() == final.tobytes()
+    assert trace.states.tobytes() == evolve_profile(profile, grid, schedule).states.tobytes()
+    assert profile.states.tobytes() == start.tobytes()
+
+
+@pytest.mark.parametrize("phi", SEQ_PHIS, ids=SEQ_IDS)
+@pytest.mark.parametrize(
+    "n1, n2", [(1, 1), (3, 5), (11, 13), (64, 65), (71, 73)], ids=["1x1", "3x5", "11x13", "64x65", "71x73"]
+)
+def test_equivalence_matches_sequential_reference(n1, n2, phi):
+    """Two stacked pairs (3 samples per batch on the 11 x 13 grid, over
+    10,000 rows on the 71 x 73 grid) give each pair the sequential sampler's
+    values and final states, and output_equiv_test its gaps between them."""
+    grid = make_grid(SYM_BOX, n1, n2)
+    pair_a = (
+        angles_profile(grid, (0.8, 0.5, 0.3), (0.2, 0.9, -0.4)),
+        gaussian_density(grid, (0.5, 1.0), (0.6, 0.6)),
+    )
+    pair_b = (
+        angles_profile(grid, (math.pi - 0.8, -0.5, -0.3), (0.2 + math.pi, 0.9, -0.4)),
+        gaussian_density(grid, (0.45, 1.05), (0.6, 0.6)),
+    )
+    schedule = ControlSchedule(SEQUENTIAL)
+    expected = _simulate_sequential([pair_a, pair_b], grid, schedule, phi, 0.05)
+    times, values, final = ensemble._simulate_pairs([pair_a, pair_b], grid, schedule, phi, 0.05)
+    assert np.array_equal(times, expected[0])
+    assert [v.tobytes() for v in values] == [v.tobytes() for v in expected[1]]
+    assert final.tobytes() == expected[2].tobytes()
+    verdict = output_equiv_test(pair_a, pair_b, grid, phi, trials=2, seed=3, tol=1e-9)
+    got = (verdict.kind, verdict.gap, verdict.time, verdict.trial, verdict.schedule)
+    assert got == _equiv_test_reference(pair_a, pair_b, grid, phi, trials=2, seed=3, tol=1e-9)
+
+
+@pytest.mark.parametrize("phi, bound", [(X3, 128), (X1 * X2, 154)], ids=["x3", "x1x2"])
+def test_simulate_peak_memory_per_node(phi, bound):
+    """simulate keeps per segment only what its samples read.  Its traced peak
+    on a 128 x 128 grid is 116 (x3) and 140 (x1x2) bytes per node; the bound
+    allows 10% more.  Holding the segment's full omega, axis and cross arrays
+    and a 3-coordinate sample buffer took 197 for both."""
+    import tracemalloc
+
+    grid = make_grid(BOX, 128, 128)
+    profile = angles_profile(grid, (0.8, 0.5, 0.3), (0.2, 0.9, -0.4))
+    density = gaussian_density(grid, (0.5, 1.0), (0.6, 0.6))
+    rng = np.random.default_rng(0)
+    schedule = ControlSchedule(
+        tuple(
+            (float(rng.uniform(0.1, 1)), float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
+            for _ in range(20)
+        )
+    )
+    tracemalloc.start()
+    try:
+        simulate(profile, grid, density, schedule, phi, schedule.total_duration / 400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / grid.size <= bound
+
+
 @pytest.mark.parametrize("block", [None, 30], ids=["default-block", "block-30"])
 def test_rotation_samples_match_calls(block, monkeypatch):
-    """Each block of samples holds, in every listed column, the bits of the
-    per-duration rotation, and NaN in the others.  The 1e-10 duration (series
-    branch) and the zero-control nodes (omega = 0) sit inside multi-sample
-    blocks."""
+    """Each block simulate hands to phi holds, for each of its samples, the
+    sequential sampler's bits in one column per coordinate phi reads, or all
+    three for the states at a segment start.  The sample 1e-10 after a
+    boundary (series branch) and the zero-control nodes (omega = 0) sit inside
+    multi-sample blocks."""
     if block is not None:
         monkeypatch.setattr(ensemble, "_BLOCK", block)
     grid = make_grid(SYM_BOX, 3, 4)
-    states = angles_profile(grid, (0.7, 0.2, 0.1), (0.0, 0.9, 0.4)).states
-    taus = [0.2, 1e-10, -0.3, 0.45, 0.7]
-    for u in ((0.8, -1.3), (0.0, 0.0)):
-        rotation = ensemble._rotation(states, ensemble.segment_axis(grid.nodes, u))
-        expected = np.concatenate([rotation(tau) for tau in taus])
-        for axes in ([2], [0, 1], [0, 1, 2], []):
-            got = np.concatenate([b.copy() for b in rotation.samples(taus, axes)])
-            assert got.shape == expected.shape
-            for d in range(3):
-                if d in axes:
-                    assert np.array_equal(got[:, d], expected[:, d])
-                else:
-                    assert np.all(np.isnan(got[:, d]))
+    profile = angles_profile(grid, (0.7, 0.2, 0.1), (0.0, 0.9, 0.4))
+    schedule = ControlSchedule(MIXED)
+    compile_phi_ = ensemble.compile_phi
+    blocks = []
+
+    def capturing(phi):
+        evaluate = compile_phi_(phi)
+        return lambda states: (blocks.append(states.copy()), evaluate(states))[1]
+
+    monkeypatch.setattr(ensemble, "compile_phi", capturing)
+    for phi in (X3, X1 * X2, X1 * X2 * X3, Poly.constant(3), X1 * X3):
+        blocks.clear()
+        trace = simulate(profile, grid, uniform_density(grid), schedule, phi, 0.03)
+        *expected, _ = _sequential_states(profile.states, grid, schedule, 0.03)
+        axes = ensemble.read_axes(phi)
+        i = 0
+        for got in blocks:
+            cols = range(3) if got.shape[1] == 3 else axes
+            assert got.shape[1] == len(cols) and len(got) % grid.size == 0
+            for sample in np.split(got, len(got) // grid.size):
+                assert sample.tobytes() == np.ascontiguousarray(expected[i][:, cols]).tobytes()
+                i += 1
+        assert i == len(trace.times)
+        assert len(blocks) < len(trace.times)  # some blocks hold several samples
 
 
 def _equiv_test_reference(pair_a, pair_b, grid, phi, trials, seed, tol, dt=0.05):
-    """Two simulate calls per trial, kept as the reference for the one-pass
-    pair simulation."""
+    """output_equiv_test one pair and one sample at a time, kept as the
+    reference for the one-pass pair simulation."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):
         schedule = ensemble.random_schedule(rng)
-        tr_a = simulate(pair_a[0], grid, pair_a[1], schedule, phi, dt)
-        tr_b = simulate(pair_b[0], grid, pair_b[1], schedule, phi, dt)
-        gaps = np.abs(tr_a.values - tr_b.values)
+        times, (a, b), _ = _simulate_sequential([pair_a, pair_b], grid, schedule, phi, dt)
+        gaps = np.abs(a - b)
         exceeding = np.nonzero(gaps > tol)[0]
         if exceeding.size:
             idx = int(exceeding[0])
-            return ("distinguished", float(gaps[idx]), float(tr_a.times[idx]), trial, schedule)
+            return ("distinguished", float(gaps[idx]), float(times[idx]), trial, schedule)
         worst = max(worst, float(gaps.max()))
     return ("equivalent-so-far", worst, None, None, None)
 
@@ -553,8 +716,8 @@ def _equiv_test_reference(pair_a, pair_b, grid, phi, trials, seed, tol, dt=0.05)
     ids=["x3-distinguished", "x3-large-tol", "x1x2-antipodal", "x3-529-nodes", "x1x2-529-nodes"],
 )
 def test_equivalence_matches_two_simulations(phi, n, tol):
-    """Both pairs in one pass give the verdict of two simulate calls per
-    trial, bit for bit, also on a grid of more than half a block of nodes.
+    """Both pairs in one pass give each pair simulate's bits, and the verdict
+    of the sequential sampler, also on a grid of more than half a block of nodes.
     The antipode is built from the angle maps, so x1x2's gaps are roundoff,
     not exact zeros; for x3 the second pair also has its own density."""
     grid = make_grid(BOX, n, n)
@@ -566,7 +729,7 @@ def test_equivalence_matches_two_simulations(phi, n, tol):
     antipode = angles_profile(grid, (math.pi - 0.8, -0.5, -0.3), (0.2 + math.pi, 0.9, -0.4))
     pair_b = (antipode, gaussian_density(grid, (0.45, 1.05), (0.6, 0.6)) if phi == X3 else pair_a[1])
     schedule = ensemble.random_schedule(np.random.default_rng(5))
-    times, values = ensemble._simulate_pairs([pair_a, pair_b], grid, schedule, phi, 0.05)
+    times, values, _ = ensemble._simulate_pairs([pair_a, pair_b], grid, schedule, phi, 0.05)
     for (profile, density), got in zip((pair_a, pair_b), values):
         trace = simulate(profile, grid, density, schedule, phi, 0.05)
         assert np.array_equal(times, trace.times) and np.array_equal(got, trace.values)
@@ -647,23 +810,30 @@ def test_evolve_profile_matches_successive_rotations():
 
 def test_simulate_sets_up_each_segment_once(monkeypatch):
     """One rotation set-up per segment, not one per sample: 5 segments and
-    about 60 samples give 5 set-ups."""
+    about 60 samples give 5 set-ups and 5 segment-end rotations, each planned
+    a node block at a time (in one block, and in blocks of 4, 4 and 1)."""
     grid = make_grid(BOX, 3, 3)
     profile = angles_profile(grid, (0.4, 0.3, 0.2), (0.1, 0.5, -0.3))
     schedule = ControlSchedule(
         ((0.2, 1.0, 0.0), (0.5, 0.0, 1.0), (0.1, -0.6, 0.4), (0.3, 0.0, 0.0), (0.4, 0.9, -1.2))
     )
-    setups = []
-    rotation = ensemble._rotation
+    plans = []
+    plan = ensemble.RotationPlan
 
-    def counting(states, omega):
-        setups.append(states.shape[0])
-        return rotation(states, omega)
+    def counting(omega, tau=None):
+        plans.append((len(omega), tau))
+        return plan(omega, tau)
 
-    monkeypatch.setattr(ensemble, "_rotation", counting)
-    trace = simulate(profile, grid, uniform_density(grid), schedule, X3, dt=0.025)
-    assert len(trace.times) > 60
-    assert setups == [grid.size] * len(schedule.segments)
+    monkeypatch.setattr(ensemble, "RotationPlan", counting)
+    for sizes in ([grid.size], [4, 4, 1]):
+        monkeypatch.setattr(ensemble, "_NODE_BLOCK", sizes[0])
+        plans.clear()
+        trace = simulate(profile, grid, uniform_density(grid), schedule, X3, dt=0.025)
+        assert len(trace.times) > 60
+        expected = []
+        for tau, _, _ in schedule.segments:
+            expected += [(size, None) for size in sizes] + [(size, tau) for size in sizes]
+        assert plans == expected
 
 
 def _write_csv_per_row(path, header, rows):
