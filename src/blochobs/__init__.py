@@ -35,7 +35,6 @@ from .identities import (
     constant_quadratic_form,
     example_basis,
     real_harmonic_basis,
-    rebase_quadratic_identity,
     s2_closure_check,
     spherical_harmonic,
     verify_quadratic_identity,

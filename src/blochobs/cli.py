@@ -418,15 +418,16 @@ def cmd_reconstruct(args) -> int:
         raise ConfigError("config.phi: reconstruct needs an observable of degree >= 1")
     profile, density = parse_pair(cfg["truth"], grid, "config.truth")
     rc = cfg.get("reconstruction", {})
-    _require_keys(rc, {"D", "rho_floor", "fd_step", "fd_word_cap"}, set(), "config.reconstruction")
+    # Keys left out keep the ReconstructionConfig defaults.
+    parsers = {"D": _integer, "rho_floor": _number, "fd_step": _number, "fd_word_cap": _integer}
+    _require_keys(rc, set(parsers), set(), "config.reconstruction")
     try:
-        config = ReconstructionConfig(
-            mode=args.mode,
-            D=_integer(rc.get("D", 6), "config.reconstruction.D"),
-            rho_floor=_number(rc.get("rho_floor", 1e-6), "config.reconstruction.rho_floor"),
-            fd_step=_number(rc.get("fd_step", 1e-2), "config.reconstruction.fd_step"),
-            fd_word_cap=_integer(rc.get("fd_word_cap", 4), "config.reconstruction.fd_word_cap"),
-        )
+        settings = {
+            key: parse(rc[key], f"config.reconstruction.{key}")
+            for key, parse in parsers.items()
+            if key in rc
+        }
+        config = ReconstructionConfig(mode=args.mode, **settings)
     except ValueError as exc:
         raise ConfigError(f"config.reconstruction: {exc}") from exc
     result = reconstruct(phi, grid, profile, density, config)

@@ -128,13 +128,16 @@ def table_density(grid: ParameterGrid, values: Sequence[float]) -> Density:
 @dataclass(frozen=True)
 class Profile:
     states: np.ndarray  # (N, 3) unit vectors
-    time_tag: float = 0.0
 
 
-def validate_profile(profile: Profile, tol: float = 1e-12) -> None:
+# Largest deviation from unit norm that validate_profile accepts.
+_UNIT_TOL = 1e-12
+
+
+def validate_profile(profile: Profile) -> None:
     norms = np.linalg.norm(profile.states, axis=1)
     worst = float(np.max(np.abs(norms - 1.0))) if norms.size else 0.0
-    if not worst <= tol:  # NaN states fail too
+    if not worst <= _UNIT_TOL:  # NaN states fail too
         raise ValueError(f"profile states deviate from unit norm by {worst:.3e}")
 
 
@@ -323,7 +326,7 @@ def evolve_profile(
     states = profile.states
     for tau, u1, u2 in schedule.segments:
         states = rotate_states(states, grid.nodes, (u1, u2), tau)
-    return Profile(states, profile.time_tag + schedule.total_duration)
+    return Profile(states)
 
 
 def compile_phi(phi: Poly) -> Callable[[np.ndarray], np.ndarray]:
@@ -499,8 +502,12 @@ class EquivalenceVerdict:
     trial: int | None = None
 
 
-def random_schedule(rng: np.random.Generator, max_segments: int = 4) -> ControlSchedule:
-    count = int(rng.integers(1, max_segments + 1))
+# Most segments in one random schedule of output_equiv_test.
+_MAX_SEGMENTS = 4
+
+
+def random_schedule(rng: np.random.Generator) -> ControlSchedule:
+    count = int(rng.integers(1, _MAX_SEGMENTS + 1))
     segs = tuple(
         (float(rng.uniform(0.1, 1.0)), float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
         for _ in range(count)

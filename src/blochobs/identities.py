@@ -31,7 +31,6 @@ class HarmonicBasis:
 
     n: int
     polys: tuple[Poly, ...]
-    provenance: str = "user-supplied"
 
     def __post_init__(self):
         if self.n < 1:
@@ -65,7 +64,7 @@ def real_harmonic_basis(n: int) -> HarmonicBasis:
         conj = p.conjugate()
         polys.append(((p + conj).scale(half)).primitive())
         polys.append(((p - conj).scale(half_i)).primitive())
-    return HarmonicBasis(n, tuple(polys), provenance="ladder-derived")
+    return HarmonicBasis(n, tuple(polys))
 
 
 def example_basis(n: int) -> HarmonicBasis:
@@ -95,7 +94,7 @@ def example_basis(n: int) -> HarmonicBasis:
         )
     else:
         raise ValueError("example bases exist for n = 1, 2, 3 only")
-    return HarmonicBasis(n, polys, provenance="paper-example")
+    return HarmonicBasis(n, polys)
 
 
 @dataclass(frozen=True)
@@ -129,42 +128,29 @@ def casimir_normalizer(n: int) -> Fraction:
     return c
 
 
-def _congruence(T, A, scale: Fraction) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact real matrix scale * sym(T^T A T), for T of shape k x m.
-
-    With q_a = sum_i T[a][i] p_i, the form sum_ab A[a][b] q_a q_b equals
-    sum_ij (T^T A T)[i][j] p_i p_j.
-    """
-    k, m = len(T), len(T[0])
-    AT = [
-        [sum((A[a][b] * T[b][j] for b in range(k) if A[a][b]), CRational()) for j in range(m)]
-        for a in range(k)
-    ]
-    M = [
-        [sum((T[a][i] * AT[a][j] for a in range(k)), CRational()) for j in range(m)]
-        for i in range(m)
-    ]
-    half = Fraction(scale) / 2
-    coeffs = [[(M[i][j] + M[j][i]) * half for j in range(m)] for i in range(m)]
-    if any(c.im for row in coeffs for c in row):
-        raise AssertionError("quadratic form has a nonzero imaginary part")
-    return tuple(tuple(c.re for c in row) for row in coeffs)
-
-
 def constant_quadratic_form(basis: HarmonicBasis) -> QuadraticIdentity:
     """Exact symmetric coefficients of ||x||^(2n) over products of the basis.
 
-    With T the coordinates of the weight ladder in the basis and A the signed
-    anti-diagonal (-1)^(n+k) of q*, C = sym(T^T A T) / casimir_normalizer(n).
-    The degree-2n products of a basis of H_n are linearly independent, so C
-    is unique.  The result is verified by exact re-expansion before it is
+    With T the coordinates of the weight ladder in the basis, q* expands as
+    sum_a (-1)^(n+a) q_a q_(2n-a) with q_a = sum_i T[a][i] p_i, so
+    C_ij = sum_a (-1)^(n+a) T[a][i] T[2n-a][j] / casimir_normalizer(n).  The
+    substitution a -> 2n-a shows this sum is already symmetric.  The
+    degree-2n products of a basis of H_n are linearly independent, so C is
+    unique.  The result is verified by exact re-expansion before it is
     returned.
     """
     n = basis.n
     m = 2 * n + 1
     T = coordinates(basis.polys, weight_ladder(n).vectors)
-    A = [[(-1) ** (n + a) if a + b == 2 * n else 0 for b in range(m)] for a in range(m)]
-    identity = QuadraticIdentity(basis, _congruence(T, A, 1 / casimir_normalizer(n)))
+    terms = [((-1) ** (n + a), T[a], T[2 * n - a]) for a in range(m)]
+    c = casimir_normalizer(n)
+    coeffs = [
+        [sum((u[i] * v[j] * sign for sign, u, v in terms), CRational()) / c for j in range(m)]
+        for i in range(m)
+    ]
+    if any(x.im for row in coeffs for x in row):
+        raise AssertionError("quadratic form has a nonzero imaginary part")
+    identity = QuadraticIdentity(basis, tuple(tuple(x.re for x in row) for row in coeffs))
     if not verify_quadratic_identity(identity):
         raise AssertionError("exact verification of the quadratic identity failed")
     return identity
@@ -186,19 +172,6 @@ def verify_quadratic_identity(identity: QuadraticIdentity) -> bool:
         if folded:
             total = total + p * folded
     return total == Poly.norm_sq() ** identity.basis.n
-
-
-def rebase_quadratic_identity(
-    identity: QuadraticIdentity, new_basis: HarmonicBasis
-) -> QuadraticIdentity:
-    """Re-express an identity in another basis via an exact change of basis."""
-    if new_basis.n != identity.basis.n:
-        raise ValueError("bases have different degrees")
-    R = coordinates(new_basis.polys, identity.basis.polys)
-    out = QuadraticIdentity(new_basis, _congruence(R, identity.coeffs, Fraction(1)))
-    if not verify_quadratic_identity(out):
-        raise AssertionError("rebased identity failed exact verification")
-    return out
 
 
 def s2_closure_check(basis: HarmonicBasis) -> bool:

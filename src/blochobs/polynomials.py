@@ -301,13 +301,6 @@ class Poly:
         return not any(b for _, b in self._terms.values())
 
     @property
-    def degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(monomial_degree(e) for e in self._terms)
-
-    @property
     def homogeneous_degree(self) -> int | None:
         """The common degree of all monomials, or None (zero or mixed degrees)."""
         degrees = {monomial_degree(e) for e in self._terms}

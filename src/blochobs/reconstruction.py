@@ -44,13 +44,14 @@ from .ensemble import (
 )
 from .exactlinalg import certified_gram_schmidt
 from .identities import HarmonicBasis, QuadraticIdentity, constant_quadratic_form
-from .polynomials import CRational, Poly
+from .polynomials import Poly
 from .representation import (
     KappaSignature,
     Word,
     apply_word,
     coordinates,
     kappa_of_word,
+    weight_ladder,
     word_basis_search,
     xi,
     zeta,
@@ -72,6 +73,11 @@ class WordTooLongError(ValueError):
 
 class InconsistentValuesError(ValueError):
     """The supplied basis values match no point on the sphere."""
+
+
+# Largest forward residual PointInverter accepts, relative to the largest
+# basis value when that exceeds 1.
+CONSISTENCY_TOL = 1e-5
 
 
 def kappa_weights(kappas: Sequence[KappaSignature], nodes: np.ndarray) -> np.ndarray:
@@ -285,36 +291,34 @@ def measured_moment_table(
     words: Sequence[Word],
     D: int,
     fd_step: float,
-    fd_word_cap: int = 4,
+    fd_word_cap: int,
 ) -> MomentTable:
     """Moment table measured through the eigen-operators xi^a zeta^b.
 
-    The entry (i, a, b) needs output derivatives of order 3a + 4b + |word_i|;
-    anything past the cap raises, which with the defaults limits measured mode
-    to low orders (pure measured density recovery is not claimed).
+    The entry (i, a, b) needs output derivatives of order 3a + 4b + |word_i|:
+    every word of xi^a zeta^b has length 3a + 4b, and none of these products
+    is zero.  Anything past the cap raises before any operator is expanded,
+    which with the defaults limits measured mode to low orders (pure
+    measured density recovery is not claimed).
     """
     n = phi.homogeneous_degree
     lam = float(-n * (n + 1))
-    exprs = {
-        (a, b): xi().power(a).compose(zeta().power(b)).terms.items()
-        for a in range(D + 1)
-        for b in range(D + 1 - a)
-    }
+    pairs = [(a, b) for a in range(D + 1) for b in range(D + 1 - a)]
     max_length = 0
-    requests: dict[tuple[int, int, int], list[tuple[float, Word]]] = {}
     for i, base_word in enumerate(words):
-        for (a, b), terms in exprs.items():
-            combos = []
-            for w, c in terms:
-                full = w + tuple(base_word)
-                if len(full) > fd_word_cap:
-                    raise WordTooLongError(
-                        f"moment ({i},{a},{b}) needs word length {len(full)} "
-                        f"> cap {fd_word_cap}"
-                    )
-                combos.append((float(c.re), full))
-                max_length = max(max_length, len(full))
-            requests[(i, a, b)] = combos
+        for a, b in pairs:
+            length = 3 * a + 4 * b + len(base_word)
+            if length > fd_word_cap:
+                raise WordTooLongError(
+                    f"moment ({i},{a},{b}) needs word length {length} > cap {fd_word_cap}"
+                )
+            max_length = max(max_length, length)
+    exprs = {(a, b): xi().power(a).compose(zeta().power(b)).terms.items() for a, b in pairs}
+    requests = {
+        (i, a, b): [(float(c.re), w + tuple(base_word)) for w, c in terms]
+        for i, base_word in enumerate(words)
+        for (a, b), terms in exprs.items()
+    }
     moments = measured_word_moments(sim, phi, max_length, fd_step)
     entries = {}
     for key, combos in requests.items():
@@ -387,9 +391,9 @@ class FeatureBasis:
         return float(np.linalg.cond(self._gram_float))
 
     def raw_values(self, nodes: np.ndarray) -> np.ndarray:
-        s1 = nodes[:, 0][:, None] ** self._exps[:, 0][None, :]
-        s2 = nodes[:, 1][:, None] ** self._exps[:, 1][None, :]
-        return s1 * s2
+        values = nodes[:, 0][:, None] ** self._exps[:, 0][None, :]
+        values *= nodes[:, 1][:, None] ** self._exps[:, 1][None, :]
+        return values
 
     def solve(self, raw_moments: np.ndarray, ridge: float) -> np.ndarray:
         """Coefficients over the raw features from moments against them."""
@@ -428,9 +432,10 @@ def recover_density(
     and the mask of nodes where it is defined.
 
     The identity must be expressed in the same basis the psi samples belong
-    to (the word-image basis); rebase it first otherwise.  A node is
-    undefined where rho falls below rho_floor * max(rho), and where any kappa
-    weight vanishes: psi carries no value to divide there, and rho reads 0.
+    to (the word-image basis): build it on that basis with
+    ``constant_quadratic_form``.  A node is undefined where rho falls below
+    rho_floor * max(rho), and where any kappa weight vanishes: psi carries no
+    value to divide there, and rho reads 0.
     """
     m = len(kexp)
     if psi.shape[0] != m or len(identity.basis.polys) != m:
@@ -457,12 +462,12 @@ def recover_harmonic_values(
 class PointInverter:
     """Closed-form recovery of a sphere point from its basis values.
 
-    Change basis exactly to the triple (x1+ix2)^n, x3 (x1+ix2)^(n-1),
-    (x3+ix1)^n; read the horizontal part off the n-th roots of the first
-    value and the vertical part off the second.  Candidates are ranked by
-    forward residual over the full value vector, which subsumes matching any
-    single basis element and also covers the axis, where the first two values
-    vanish.
+    Change basis exactly to (x1+ix2)^n and x3 (x1+ix2)^(n-1), the first two
+    weight-ladder vectors p_0 and p_1 / (-2n); read the horizontal part off
+    the n-th roots of the first value and the vertical part off the second.
+    Candidates are ranked by forward residual over the full value vector,
+    which subsumes matching any single basis element and also covers the
+    axis, where the first two values vanish.
     """
 
     # Columns per block: keeps the candidate and forward-evaluation
@@ -472,18 +477,9 @@ class PointInverter:
     def __init__(self, basis: HarmonicBasis):
         self.basis = basis
         self.n = basis.n
-        n = basis.n
-        x1 = Poly.variable(1)
-        x2 = Poly.variable(2)
-        x3 = Poly.variable(3)
-        w = x1 + x2.scale(CRational(0, 1))
-        triple = (
-            w**n,
-            x3 * w ** (n - 1),
-            (x3 + x1.scale(CRational(0, 1))) ** n,
-        )
+        top, lowered = coordinates(basis.polys, weight_ladder(basis.n).vectors[:2])
         self._transform = np.array(
-            [[c.to_complex() for c in sol] for sol in coordinates(basis.polys, triple)]
+            [[c.to_complex() for c in top], [(c / (-2 * basis.n)).to_complex() for c in lowered]]
         )
         self._evaluators = [compile_phi(p) for p in basis.polys]
 
@@ -500,7 +496,7 @@ class PointInverter:
         loses the vertical component; the pole snap stays within the distance
         to the axis."""
         n = self.n
-        c1, c2 = self._transform[:2].real @ values + 1j * (self._transform[:2].imag @ values)
+        c1, c2 = self._transform.real @ values + 1j * (self._transform.imag @ values)
         for x3 in (1.0, -1.0):
             yield np.tile([0.0, 0.0, x3], (values.shape[1], 1)), True
         has_root = np.abs(c1) > 1e-15
@@ -529,14 +525,12 @@ class PointInverter:
             best_res[better] = res[better]
         return best, best_res
 
-    def invert_with_residual(
-        self, values: np.ndarray, consistency_tol: float = 1e-5
-    ) -> tuple[np.ndarray, str, np.ndarray]:
+    def invert_with_residual(self, values: np.ndarray) -> tuple[np.ndarray, str, np.ndarray]:
         """Points (N, 3), ambiguity flag and forward residuals (N,) from a
         (2n+1, N) array of basis values, one column per point.
 
         Raises InconsistentValuesError naming the first column whose best
-        candidate misses its values by more than consistency_tol (relative
+        candidate misses its values by more than CONSISTENCY_TOL (relative
         to the largest value when that exceeds 1).
         """
         values = np.asarray(values, dtype=float)
@@ -546,7 +540,7 @@ class PointInverter:
             cols = slice(lo, lo + self._BLOCK)
             best[cols], best_res[cols] = self._rank(values[:, cols])
         scale = np.maximum(1.0, np.max(np.abs(values), axis=0))
-        missed = np.flatnonzero(best_res > consistency_tol * scale)
+        missed = np.flatnonzero(best_res > CONSISTENCY_TOL * scale)
         if missed.size:
             j = int(missed[0])
             raise InconsistentValuesError(
@@ -656,9 +650,7 @@ def reconstruct(
 
     identity = _stage(
         "quadratic-identity",
-        lambda: constant_quadratic_form(
-            HarmonicBasis(n, tuple(basis_polys), provenance="ladder-derived")
-        ),
+        lambda: constant_quadratic_form(HarmonicBasis(n, tuple(basis_polys))),
     )
 
     truth = (truth_profile, truth_density)

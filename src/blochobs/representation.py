@@ -87,56 +87,6 @@ class OperatorExpr:
     def terms(self) -> dict[Word, CRational]:
         return dict(self._terms)
 
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self._terms.items())))
-
-    def __add__(self, other):
-        if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        out = dict(self._terms)
-        for w, c in other._terms.items():
-            s = out.get(w, CRational()) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        e = OperatorExpr.__new__(OperatorExpr)
-        e._terms = out
-        return e
-
-    def __neg__(self):
-        e = OperatorExpr.__new__(OperatorExpr)
-        e._terms = {w: -c for w, c in self._terms.items()}
-        return e
-
-    def __sub__(self, other):
-        if not isinstance(other, OperatorExpr):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c) -> "OperatorExpr":
-        c = c if isinstance(c, CRational) else CRational(c)
-        if not c:
-            return OperatorExpr()
-        e = OperatorExpr.__new__(OperatorExpr)
-        e._terms = {w: c * v for w, v in self._terms.items()}
-        return e
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, CRational)):
-            return self.scale(other)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
     def compose(self, other: "OperatorExpr") -> "OperatorExpr":
         """Operator composition: (a.compose(b))(p) = a(b(p))."""
         out: dict[Word, CRational] = {}

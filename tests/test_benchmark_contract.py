@@ -57,6 +57,33 @@ def test_traced_measured_moments_reconstruct(tmp_path):
     assert json.loads(out.read_text())["undefined_nodes"] == []
 
 
+def test_traced_oracle_psi_reconstruct_with_report(tmp_path):
+    """The tracer wraps PointInverter.__init__ as a span and
+    invert_with_residual as a hot call."""
+    cfg = {
+        "box": BOX,
+        "grid": {"n1": 6, "n2": 6},
+        "phi": {"degree": 2, "named": "x1x2"},
+        "truth": {
+            "profile": {"kind": "angles", "theta": [0.8, 0.5, 0.3], "phi": [0.2, 0.9, -0.4]},
+            "density": {"kind": "gaussian", "center": [0.5, 1.0], "widths": [0.6, 0.6]},
+        },
+    }
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps(cfg))
+    out, report = tmp_path / "result.json", tmp_path / "report.json"
+    rec = _run_child(
+        tmp_path, "cli", "reconstruct", "--config", str(path), "--mode", "oracle-psi",
+        "--out", str(out), "--report", str(report),
+    )
+    names = {span[0] for span in rec["trace"]["spans"]}
+    assert "reconstruction.PointInverter.init" in names
+    calls = [row[2] for row in rec["trace"]["hot_calls"] if row[0].endswith("Inverter.invert")]
+    assert calls == [1]
+    assert json.loads(out.read_text())["ambiguity"] == "antipodal-pair"
+    assert report.is_file()
+
+
 def test_traced_feature_basis(tmp_path):
     path = tmp_path / "feature.json"
     path.write_text(json.dumps({"box": BOX, "D": 2, "grid": {"n1": 6, "n2": 12}}))

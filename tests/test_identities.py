@@ -14,7 +14,6 @@ from blochobs.identities import (
     constant_quadratic_form,
     example_basis,
     real_harmonic_basis,
-    rebase_quadratic_identity,
     s2_closure_check,
     spherical_harmonic,
     verify_quadratic_identity,
@@ -41,7 +40,7 @@ def random_basis(n, seed):
                 break
             polys.append(p)
         if ok:
-            return HarmonicBasis(n, tuple(polys), provenance="user-supplied")
+            return HarmonicBasis(n, tuple(polys))
 
 
 def test_real_harmonic_basis_n1():
@@ -145,6 +144,40 @@ def test_quadratic_form_pinned_coeffs():
     )
 
 
+# sha256 of C on real_harmonic_basis(n) and on the word-image basis of its
+# first element, for the degrees past the CLI's example bases.
+PINNED_COEFFS = {
+    5: (
+        "5e02cc4ca1116b591ebfc2b403279d4d8b7b3bb2e4983b4f47f3387c42590813",
+        "16aa001b828f3ff038aa9dbc4c5172a8e719d83c323ece6976dfa9f4b73e46e8",
+    ),
+    6: (
+        "7032b7e26ccd6acb170ceaa327bf8107b8a3525ee0037a2e25953ddfc9132646",
+        "f13991508ab79e0e67725d008c52a60bfb92b9a786ca21480678eba84d21303e",
+    ),
+    7: (
+        "b4a346d7aa0d06ea5ba2f8b695296071afa19822cbddc30d00100532667be047",
+        "fc2c1991f7ff477c90153d38423516752c53ec1bccbbc19700bc2a8d9c4b754d",
+    ),
+    8: (
+        "e9049d9c5deac1b97e7ecf7c646aeedd2a83d6d5b2814f27f632af1aa59a0d25",
+        "111e586fc4da3f236ec8ca708c0e54fda45859fc3d04fdf066cbde7bdcd98e4f",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PINNED_COEFFS))
+def test_quadratic_form_pinned_coeffs_high_degree(n):
+    basis = real_harmonic_basis(n)
+    phi = basis.polys[0]
+    words = HarmonicBasis(n, tuple(apply_word(w, phi) for w in word_basis_search(phi)))
+    got = (
+        _coeffs_sha256(constant_quadratic_form(basis)),
+        _coeffs_sha256(constant_quadratic_form(words)),
+    )
+    assert got == PINNED_COEFFS[n]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_basis_products_independent(n):
     """Rank (n+1)(2n+1) of the p_i p_j makes the symmetric C unique."""
@@ -155,13 +188,6 @@ def test_basis_products_independent(n):
         for q in polys[i:]:
             span.add(poly_to_vec(p * q, monos))
     assert span.rank == (n + 1) * (2 * n + 1)
-
-
-def test_rebase_quadratic_identity():
-    identity = constant_quadratic_form(example_basis(2))
-    other = random_basis(2, 9)
-    rebased = rebase_quadratic_identity(identity, other)
-    assert verify_quadratic_identity(rebased)
 
 
 def test_q_star_positive_on_sphere():

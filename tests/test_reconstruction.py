@@ -47,6 +47,7 @@ from blochobs.reconstruction import (
     stitch_signs,
 )
 from blochobs.representation import (
+    OperatorExpr,
     apply_word,
     kappa_of_word,
     word_basis_search,
@@ -261,6 +262,26 @@ def test_measured_moment_table_low_order():
         assert val == pytest.approx(ref, rel=2e-2, abs=1e-6)
 
 
+def test_measured_moment_table_checks_cap_before_expanding(monkeypatch):
+    """With the defaults (D = 6, cap 4) the first entry past the cap raises
+    before any xi^a zeta^b is expanded, with the entry named in the message."""
+    grid = make_grid(BOX, 2, 2)
+    profile, density = smooth_truth(grid)
+    sim = OutputSimulator(profile, grid, density)
+    compose = OperatorExpr.compose
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return compose(self, other)
+
+    monkeypatch.setattr(OperatorExpr, "compose", counted)
+    with pytest.raises(WordTooLongError) as err:
+        measured_moment_table(sim, X3, word_basis_search(X3), D=6, fd_step=1e-2, fd_word_cap=4)
+    assert str(err.value) == "moment (0,0,2) needs word length 8 > cap 4"
+    assert calls == []
+
+
 def test_measured_moment_table_cap_exceeded():
     grid = make_grid(BOX, 2, 2)
     profile, density = smooth_truth(grid)
@@ -356,24 +377,6 @@ def test_recover_density_n1_identity_structure():
     s2 = grid.nodes[:, 1]
     rho_sq = psi[0] ** 2 + psi[1] ** 2 / s2**2 + psi[2] ** 2 / s2**2
     np.testing.assert_allclose(np.sqrt(rho_sq), density.values, rtol=1e-12)
-
-
-def test_recover_density_accepts_rebased_identity():
-    """An identity computed on another basis works after exact rebasing."""
-    from blochobs.identities import example_basis, rebase_quadratic_identity
-
-    grid = make_grid(BOX, 5, 5)
-    profile, density = smooth_truth(grid)
-    phi = X3
-    words = word_basis_search(phi)
-    polys = [apply_word(w, phi) for w in words]
-    kexp = kappa_weights([kappa_of_word(w) for w in words], grid.nodes)
-    psi = oracle_psi_samples((profile, density), polys, kexp)
-    on_example = constant_quadratic_form(example_basis(1))
-    rebased = rebase_quadratic_identity(on_example, HarmonicBasis(1, tuple(polys)))
-    est, defined = recover_density(psi, rebased, kexp, rho_floor=1e-6)
-    assert defined.all()
-    np.testing.assert_allclose(est.values, density.values, rtol=1e-10)
 
 
 def test_recover_density_zero_region_flagged():
