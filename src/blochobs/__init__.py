@@ -59,7 +59,6 @@ from .ensemble import (
 )
 from .reconstruction import (
     InconsistentValuesError,
-    MomentTable,
     OutputSimulator,
     PointInverter,
     ReconstructionConfig,

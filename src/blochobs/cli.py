@@ -29,6 +29,7 @@ from .identities import (
 from .polynomials import Poly, monomial_basis
 from .reconstruction import ReconstructionConfig, StageError, reconstruct
 from .representation import (
+    COMMUTATOR_DEGREE_CAP,
     casimir,
     check_ladder,
     commutator_check,
@@ -259,8 +260,9 @@ def _emit(payload: dict, out: str | None) -> None:
 
 
 def cmd_verify_rep(args) -> int:
-    if args.degree_max < 1:
-        print("verify-rep: --degree-max must be >= 1", file=sys.stderr)
+    cap = COMMUTATOR_DEGREE_CAP
+    if not 1 <= args.degree_max <= cap:
+        print(f"verify-rep: --degree-max must be within 1..{cap}", file=sys.stderr)
         return 2
     if args.dump:
         print(f"eta* = {casimir().text()}")
@@ -543,10 +545,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, ArithmeticError, AssertionError) as exc:
+    except (StageError, ValueError, ArithmeticError, AssertionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -86,12 +86,6 @@ def kappa_weights(kappas: Sequence[KappaSignature], nodes: np.ndarray) -> np.nda
 
 
 @dataclass(frozen=True)
-class MomentTable:
-    entries: dict[tuple[int, int, int], float]  # (basis index, a, b) -> value
-    D: int
-
-
-@dataclass(frozen=True)
 class ReconstructionConfig:
     mode: str = "oracle-psi"  # oracle-psi | oracle-moments | measured-moments
     D: int = 6
@@ -133,26 +127,32 @@ def oracle_psi_samples(
     )
 
 
+def feature_pairs(D: int) -> list[tuple[int, int]]:
+    """Exponents (a, b) of the features m_xi^a m_zeta^b with a + b <= D, by
+    total degree, then a: the column order of every moment array."""
+    return [(a, s - a) for s in range(D + 1) for a in range(s + 1)]
+
+
 def oracle_moments(
     truth: tuple[Profile, Density],
     grid: ParameterGrid,
     phi: Poly,
     words: Sequence[Word],
     D: int,
-) -> MomentTable:
-    """Quadrature of m_xi^a m_zeta^b psi_i straight from the hidden truth."""
+) -> np.ndarray:
+    """Quadrature of m_xi^a m_zeta^b psi_i straight from the hidden truth: row
+    i per word, one column per feature in ``feature_pairs(D)`` order."""
     basis_polys = [apply_word(w, phi) for w in words]
     kexp = kappa_weights([kappa_of_word(w) for w in words], grid.nodes)
     psi = oracle_psi_samples(truth, basis_polys, kexp)
     m_xi = grid.nodes[:, 0] * grid.nodes[:, 1] ** 2
     m_zeta = grid.nodes[:, 1] ** 4
-    feats = {(a, b): m_xi**a * m_zeta**b for a in range(D + 1) for b in range(D + 1 - a)}
-    entries = {
-        (i, a, b): float(np.dot(grid.weights, feat * psi[i]))
-        for i in range(len(words))
-        for (a, b), feat in feats.items()
-    }
-    return MomentTable(entries, D)
+    pairs = feature_pairs(D)
+    moments = np.empty((len(words), len(pairs)))
+    for k, (a, b) in enumerate(pairs):
+        feat = m_xi**a * m_zeta**b
+        moments[:, k] = [np.dot(grid.weights, feat * row) for row in psi]
+    return moments
 
 
 @dataclass(frozen=True)
@@ -292,10 +292,11 @@ def measured_moment_table(
     D: int,
     fd_step: float,
     fd_word_cap: int,
-) -> MomentTable:
-    """Moment table measured through the eigen-operators xi^a zeta^b.
+) -> np.ndarray:
+    """Moments measured through the eigen-operators xi^a zeta^b, laid out as
+    ``oracle_moments`` lays them out.
 
-    The entry (i, a, b) needs output derivatives of order 3a + 4b + |word_i|:
+    The moment (i, a, b) needs output derivatives of order 3a + 4b + |word_i|:
     every word of xi^a zeta^b has length 3a + 4b, and none of these products
     is zero.  Anything past the cap raises before any operator is expanded,
     which with the defaults limits measured mode to low orders (pure
@@ -303,7 +304,7 @@ def measured_moment_table(
     """
     n = phi.homogeneous_degree
     lam = float(-n * (n + 1))
-    pairs = [(a, b) for a in range(D + 1) for b in range(D + 1 - a)]
+    pairs = feature_pairs(D)
     max_length = 0
     for i, base_word in enumerate(words):
         for a, b in pairs:
@@ -313,21 +314,16 @@ def measured_moment_table(
                     f"moment ({i},{a},{b}) needs word length {length} > cap {fd_word_cap}"
                 )
             max_length = max(max_length, length)
-    exprs = {(a, b): xi().power(a).compose(zeta().power(b)).terms.items() for a, b in pairs}
-    requests = {
-        (i, a, b): [(float(c.re), w + tuple(base_word)) for w, c in terms]
-        for i, base_word in enumerate(words)
-        for (a, b), terms in exprs.items()
-    }
     moments = measured_word_moments(sim, phi, max_length, fd_step)
-    entries = {}
-    for key, combos in requests.items():
-        _, a, b = key
-        total = 0.0
-        for coeff, w in combos:
-            total += coeff * float(moments[len(w)][w])
-        entries[key] = total / lam ** (a + b)
-    return MomentTable(entries, D)
+    table = np.empty((len(words), len(pairs)))
+    for k, (a, b) in enumerate(pairs):
+        terms = xi().power(a).compose(zeta().power(b)).terms.items()
+        for i, base in enumerate(map(tuple, words)):
+            total = 0.0
+            for w, c in terms:
+                total += float(c.re) * float(moments[len(w) + len(base)][w + base])
+            table[i, k] = total / lam ** (a + b)
+    return table
 
 
 # --- density fit in the (m_xi, m_zeta) algebra ------------------------------
@@ -373,7 +369,7 @@ class FeatureBasis:
     def __init__(self, box: ParameterBox, D: int):
         self.box = box
         self.D = D
-        self.pairs = [(a, s - a) for s in range(D + 1) for a in range(s + 1)]
+        self.pairs = feature_pairs(D)
         exps = [(a, 2 * a + 4 * b) for a, b in self.pairs]
         gram = _feature_gram(box, exps)
         rows, pivots = certified_gram_schmidt(gram)
@@ -412,14 +408,15 @@ def _feature_basis(box: ParameterBox, D: int) -> FeatureBasis:
     return FeatureBasis(box, D)
 
 
-def fit_psi(table: MomentTable, grid: ParameterGrid, i: int) -> np.ndarray:
-    """The fitted expansion of psi_i, to degree ``table.D``, on the grid nodes."""
-    fb = _feature_basis(grid.box, table.D)
-    try:
-        raw = np.array([table.entries[(i, a, b)] for a, b in fb.pairs])
-    except KeyError as exc:
-        raise ValueError(f"moment table does not cover index {i} up to D={table.D}") from exc
-    return fb.raw_values(grid.nodes) @ fb.solve(raw, 0.0)
+def fit_psi(moments: np.ndarray, grid: ParameterGrid, D: int) -> np.ndarray:
+    """The fitted expansion of every psi_i, to degree D, on the grid nodes,
+    from row i of the moments.  Each row is its own matrix-vector product,
+    which a matrix-matrix one need not match bit for bit."""
+    fb = _feature_basis(grid.box, D)
+    if np.shape(moments)[1:] != (fb.size,):
+        raise ValueError(f"moments need one column per feature up to D={D}, {fb.size} in all")
+    raw = fb.raw_values(grid.nodes)
+    return np.array([raw @ fb.solve(row, 0.0) for row in moments])
 
 
 # --- pointwise recovery -----------------------------------------------------
@@ -659,10 +656,10 @@ def reconstruct(
         psi = _stage("psi-samples", oracle_psi_samples, truth, basis_polys, kexp)
     else:
         if config.mode == "oracle-moments":
-            table = _stage("moments", oracle_moments, truth, grid, phi, words, config.D)
+            moments = _stage("moments", oracle_moments, truth, grid, phi, words, config.D)
         else:
             sim = OutputSimulator(truth_profile, grid, truth_density)
-            table = _stage(
+            moments = _stage(
                 "moments",
                 measured_moment_table,
                 sim,
@@ -675,7 +672,7 @@ def reconstruct(
         fb = _feature_basis(grid.box, config.D)
         diagnostics["gram_condition"] = fb.gram_condition()
         diagnostics["gram_min_pivot"] = fb.min_pivot
-        psi = np.array([fit_psi(table, grid, i) for i in range(len(words))])
+        psi = fit_psi(moments, grid, config.D)
 
     density, defined = _stage("density", recover_density, psi, identity, kexp, config.rho_floor)
     undefined = np.flatnonzero(~defined).tolist()

@@ -293,9 +293,9 @@ def test_criterion_09_measured_vs_oracle_moments():
     for phi in (X3, X1 * X2):
         oracle = oracle_moments((profile, density), grid, phi, words, D=0)
         measured = measured_word_moments(sim, phi, 2, fd_step=1e-2)
-        scale = max(abs(v) for v in oracle.entries.values())
+        scale = max(abs(v) for v in oracle[:, 0])
         for idx, w in enumerate(words):
-            o = oracle.entries[(idx, 0, 0)]
+            o = float(oracle[idx, 0])
             m = float(measured[len(w)][w])
             worst = max(worst, abs(m - o) / max(abs(o), 1e-3 * scale))
     announce(9, worst <= 1e-3, f"worst relative deviation {worst:.2e}")

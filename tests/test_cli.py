@@ -54,6 +54,14 @@ def test_verify_rep_usage_error():
     assert main(["verify-rep", "--degree-max", "0"]) == 2
 
 
+def test_verify_rep_degree_above_cap_is_usage_error(capsys):
+    """Rejected before any check runs, so no table row is printed."""
+    assert main(["verify-rep", "--degree-max", "13"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verify-rep: --degree-max must be within 1..12\n"
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_identities_golden_bytes(tmp_path, n):
     out = tmp_path / "identity.json"
@@ -106,7 +114,8 @@ ANTIPODE = {
 # measured-moments pin was re-recorded when the ridge setting and three
 # diagnostics went: its bytes are the earlier run with "ridge": 0.0, less the
 # fit_residuals, identity_max_residual and gram_min_eigenvalue keys, plus
-# gram_min_pivot.
+# gram_min_pivot.  The oracle-moments pin (8 x 8 grid, D = 6) was recorded
+# while the moments still travelled in a dict keyed by (basis index, a, b).
 PINNED_RUNS = {
     "equivalence-x3": (
         ["equivalence"],
@@ -123,6 +132,11 @@ PINNED_RUNS = {
         {"phi": {"degree": 1, "named": "x3"}, "grid": 3},
         "e89d2e2e33e5d3b181db91f773af7f5fc0bbf9f8e56091a224b2ddd7c3f7ed6f",
     ),
+    "oracle-moments-x3": (
+        ["reconstruct", "--mode", "oracle-moments"],
+        {"phi": {"degree": 1, "named": "x3"}, "grid": 8, "D": 6},
+        "c1fb903256f5a7d7e3d4195244b2570f2595d613683d8235897adb65994e7e3a",
+    ),
 }
 
 
@@ -137,7 +151,7 @@ def test_runs_pinned_sha256(tmp_path, name):
     if command[0] == "equivalence":
         cfg.update(pair_a=TRUTH, pair_b=ANTIPODE, trials=4, tol=1e-9, seed=3)
     else:
-        cfg.update(truth=TRUTH, reconstruction={"D": 1, "fd_word_cap": 5})
+        cfg.update(truth=TRUTH, reconstruction={"D": setup.get("D", 1), "fd_word_cap": 5})
     path = write_config(tmp_path, cfg)
     out = tmp_path / "out.json"
     assert main(command[:1] + ["--config", path] + command[1:] + ["--out", str(out)]) == 0

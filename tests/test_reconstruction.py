@@ -27,7 +27,6 @@ from blochobs.reconstruction import (
     _CHOICES,
     _UNMIX,
     InconsistentValuesError,
-    MomentTable,
     OutputSimulator,
     PointInverter,
     ReconstructionConfig,
@@ -35,6 +34,7 @@ from blochobs.reconstruction import (
     WordTooLongError,
     _feature_basis,
     _feature_gram,
+    feature_pairs,
     fit_psi,
     kappa_weights,
     measured_moment_table,
@@ -69,7 +69,8 @@ def test_oracle_moments_empty_word_is_y0():
     words = word_basis_search(X3)
     table = oracle_moments(truth, grid, X3, words, D=0)
     y0 = output(truth[0], grid, truth[1], X3)
-    assert table.entries[(0, 0, 0)] == pytest.approx(y0, abs=1e-13)
+    assert table.shape == (len(words), 1)
+    assert table[0, 0] == pytest.approx(y0, abs=1e-13)
 
 
 def test_oracle_moments_zero_image_word():
@@ -77,7 +78,8 @@ def test_oracle_moments_zero_image_word():
     grid = make_grid(BOX, 4, 4)
     truth = smooth_truth(grid)
     table = oracle_moments(truth, grid, X3, [(0,)], D=1)
-    assert all(v == 0.0 for v in table.entries.values())
+    assert table.shape == (1, 3)
+    assert np.all(table == 0.0)
 
 
 def test_oracle_moment_matches_direct_quadrature():
@@ -90,7 +92,7 @@ def test_oracle_moment_matches_direct_quadrature():
             grid.nodes[:, 1] * profile.states[:, 0] * density.values,
         )
     )
-    assert table.entries[(0, 0, 0)] == pytest.approx(direct, rel=1e-12)
+    assert table[0, 0] == pytest.approx(direct, rel=1e-12)
 
 
 def test_eigen_operator_moment_consistency():
@@ -133,7 +135,7 @@ def test_measured_moments_single_letters(word):
     grid = make_grid(BOX, 6, 6)
     truth = smooth_truth(grid)
     sim = OutputSimulator(truth[0], grid, truth[1])
-    oracle = oracle_moments(truth, grid, X3, [word], D=0).entries[(0, 0, 0)]
+    oracle = oracle_moments(truth, grid, X3, [word], D=0)[0, 0]
     measured = _word_moment(sim, X3, word, fd_step=1e-2)
     assert measured == pytest.approx(oracle, rel=1e-3, abs=1e-9)
 
@@ -144,7 +146,7 @@ def test_measured_moments_length_two_h2():
     sim = OutputSimulator(truth[0], grid, truth[1])
     phi = X1 * X2
     for word in [(1, 2), (0, 1)]:
-        oracle = oracle_moments(truth, grid, phi, [word], D=0).entries[(0, 0, 0)]
+        oracle = oracle_moments(truth, grid, phi, [word], D=0)[0, 0]
         measured = _word_moment(sim, phi, word, fd_step=1e-2)
         assert measured == pytest.approx(oracle, rel=1e-2, abs=1e-8)
 
@@ -257,8 +259,8 @@ def test_measured_moment_table_low_order():
     words = [()]
     table = measured_moment_table(sim, X3, words, D=1, fd_step=2e-2, fd_word_cap=4)
     oracle = oracle_moments(truth, grid, X3, words, D=1)
-    for key, val in table.entries.items():
-        ref = oracle.entries[key]
+    assert table.shape == oracle.shape == (1, 3)
+    for val, ref in zip(table.ravel(), oracle.ravel()):
         assert val == pytest.approx(ref, rel=2e-2, abs=1e-6)
 
 
@@ -290,53 +292,92 @@ def test_measured_moment_table_cap_exceeded():
         measured_moment_table(sim, X3, [()], D=2, fd_step=1e-2, fd_word_cap=4)
 
 
+def _feature_moments(grid, D, targets):
+    """Quadrature moments of each target against the features, one row per
+    target in feature_pairs(D) order."""
+    m_xi = grid.nodes[:, 0] * grid.nodes[:, 1] ** 2
+    m_zeta = grid.nodes[:, 1] ** 4
+    return np.array(
+        [[np.dot(grid.weights, m_xi**a * m_zeta**b * t) for a, b in feature_pairs(D)]
+         for t in targets]
+    )
+
+
 def test_fit_psi_constant_exact():
     grid = make_grid(BOX, 6, 6)
-    fb = _feature_basis(BOX, 2)
-    entries = {
-        (0, a, b): float(
-            np.dot(grid.weights, grid.nodes[:, 0] ** a * grid.nodes[:, 1] ** (2 * a + 4 * b))
-        )
-        for a, b in fb.pairs
-    }
-    table = MomentTable(entries, 2)
-    samples = fit_psi(table, grid, 0)
+    (samples,) = fit_psi(_feature_moments(grid, 2, [np.ones(grid.size)]), grid, 2)
     np.testing.assert_allclose(samples, np.ones(grid.size), atol=1e-10)
 
 
 def test_fit_psi_feature_exact():
     grid = make_grid(BOX, 8, 8)
-    D = 3
-    fb = _feature_basis(BOX, D)
-    m_xi = grid.nodes[:, 0] * grid.nodes[:, 1] ** 2
-    m_zeta = grid.nodes[:, 1] ** 4
-    target = m_xi  # psi = m_xi lies in the feature span
-    entries = {
-        (0, a, b): float(np.dot(grid.weights, m_xi**a * m_zeta**b * target))
-        for a, b in fb.pairs
-    }
-    table = MomentTable(entries, D)
-    samples = fit_psi(table, grid, 0)
+    target = grid.nodes[:, 0] * grid.nodes[:, 1] ** 2  # m_xi lies in the feature span
+    (samples,) = fit_psi(_feature_moments(grid, 3, [target]), grid, 3)
     np.testing.assert_allclose(samples, target, atol=1e-9)
 
 
 def test_fit_psi_sin_improves_with_degree():
     grid = make_grid(BOX, 12, 12)
     target = np.sin(grid.nodes[:, 0])
-    m_xi = grid.nodes[:, 0] * grid.nodes[:, 1] ** 2
-    m_zeta = grid.nodes[:, 1] ** 4
     errors = []
     for D in (2, 4, 6):
-        fb = _feature_basis(BOX, D)
-        entries = {
-            (0, a, b): float(np.dot(grid.weights, m_xi**a * m_zeta**b * target))
-            for a, b in fb.pairs
-        }
-        table = MomentTable(entries, D)
-        samples = fit_psi(table, grid, 0)
+        (samples,) = fit_psi(_feature_moments(grid, D, [target]), grid, D)
         err = math.sqrt(float(np.dot(grid.weights, (samples - target) ** 2)))
         errors.append(err)
     assert errors[0] > errors[1] > errors[2]
+
+
+def test_fit_psi_rows_match_one_row_fits_bit_for_bit():
+    grid = make_grid(BOX, 9, 7)
+    s1, s2 = grid.nodes.T
+    targets = [np.sin(s1), np.cos(s2) * s1, np.exp(-s1 * s2), s2**3]
+    moments = _feature_moments(grid, 5, targets)
+    fitted = fit_psi(moments, grid, 5)
+    assert fitted.shape == (len(targets), grid.size)
+    for row, fit in zip(moments, fitted):
+        (single,) = fit_psi(row[None, :], grid, 5)
+        assert single.tobytes() == fit.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 9), (3, 11), (10,)])
+def test_fit_psi_rejects_moments_of_another_degree(shape):
+    grid = make_grid(BOX, 4, 4)
+    with pytest.raises(ValueError, match="one column per feature up to D=3, 10 in all"):
+        fit_psi(np.zeros(shape), grid, 3)
+
+
+def test_feature_pairs_order_is_shared():
+    """The fit's features and the oracle's columns follow feature_pairs:
+    by total degree, then a."""
+    assert feature_pairs(2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
+    assert _feature_basis(BOX, 4).pairs == feature_pairs(4)
+    grid = make_grid(BOX, 6, 6)
+    truth = smooth_truth(grid)
+    words = word_basis_search(X3)
+    oracle = oracle_moments(truth, grid, X3, words, D=3)
+    polys = [apply_word(w, X3) for w in words]
+    kexp = kappa_weights([kappa_of_word(w) for w in words], grid.nodes)
+    psi = oracle_psi_samples(truth, polys, kexp)
+    assert oracle.tobytes() == _feature_moments(grid, 3, psi).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["oracle-moments", "measured-moments"])
+def test_reconstruct_evaluates_features_once(monkeypatch, mode):
+    """All 2n+1 psi_i are fitted from one evaluation of the raw features."""
+    grid = make_grid(BOX, 4, 4)
+    profile, density = smooth_truth(grid)
+    raw_values = reconstruction.FeatureBasis.raw_values
+    calls = []
+
+    def counted(self, nodes):
+        calls.append(len(nodes))
+        return raw_values(self, nodes)
+
+    monkeypatch.setattr(reconstruction.FeatureBasis, "raw_values", counted)
+    cfg = ReconstructionConfig(mode, D=6 if mode == "oracle-moments" else 0)
+    result = reconstruct(X3, grid, profile, density, cfg)
+    assert len(result.diagnostics["words"]) == 3
+    assert calls == [grid.size]
 
 
 def test_gram_min_pivot_is_the_smallest_certified_pivot():
