@@ -128,7 +128,7 @@ def parse_phi(obj, path="phi") -> Poly:
     degree = _integer(obj["degree"], f"{path}.degree")
     if "named" in obj:
         name = obj["named"]
-        if name not in NAMED_PHI:
+        if not isinstance(name, str) or name not in NAMED_PHI:
             raise ConfigError(
                 f"{path}.named: unknown observable {name!r}; choose from "
                 f"{sorted(NAMED_PHI)}"
@@ -238,6 +238,8 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config is not UTF-8: {exc}") from exc
     if not isinstance(obj, dict):
         raise ConfigError("config root must be an object")
     return obj

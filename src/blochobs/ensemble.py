@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -214,9 +215,11 @@ class OutputTrace:
 
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of the rows (last axis) of a and b, broadcast over the
-    other axes.  numpy's matmul sends each stacked 1 x K by K x 1 product to
-    the inner loop np.dot uses, so every entry has the bits of np.dot on the
-    two rows; a matrix-vector product (a @ v) does not."""
+    other axes: the one weighted sum over the grid nodes (outputs, moments)
+    and over short rows (stitch edges, the report).  numpy's matmul sends
+    each stacked 1 x K by K x 1 product to the inner loop np.dot uses, so
+    every entry has the bits of np.dot on the two rows; a matrix-vector
+    product (a @ v) does not."""
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
@@ -384,7 +387,7 @@ def read_axes(phi: Poly) -> list[int]:
 def output(profile: Profile, grid: ParameterGrid, density: Density, phi: Poly) -> float:
     """Quadrature of phi(x_sigma) against weight * density, in fixed node order."""
     vals = compile_phi(phi)(profile.states)
-    return float(np.dot(grid.weights * density.values, vals))
+    return float(row_dots(vals, grid.weights * density.values))
 
 
 def simulate(
@@ -426,16 +429,14 @@ def _simulate_pairs(
     times = sorted(samples)
     phi_eval = compile_phi(phi)
     axes = read_axes(phi)
-    bases = [grid.weights * density.values for _, density in pairs]
-    n = grid.size
+    bases = np.array([grid.weights * density.values for _, density in pairs])
     values = [[] for _ in pairs]
 
     def y(block: np.ndarray) -> None:
-        # block: states of one sample after another, each pair's n rows in turn
-        vals = phi_eval(block)
-        for i, lo in enumerate(range(0, vals.shape[0], n)):
-            p = i % len(pairs)
-            values[p].append(float(np.dot(bases[p], vals[lo : lo + n])))
+        # block: states of one sample after another, each pair's rows in turn
+        dots = row_dots(phi_eval(block).reshape(-1, *bases.shape), bases)
+        for column, v in zip(dots.T, values):
+            v.extend(column.tolist())
 
     sigmas = grid.nodes if len(pairs) == 1 else np.tile(grid.nodes, (len(pairs), 1))
     # the one working copy, rotated in place at each segment end
@@ -472,24 +473,18 @@ def _simulate_pairs(
                 _write(states, cross, axis, dot, tau, trig, axes, cols, (work[0], work[2]), omega_rows)
             y(out.T)
 
-    i = 0
+    y(states)  # t = 0, the one sample of an empty schedule
+    i = 1
     for k, (tau, u1, u2) in enumerate(schedule.segments):
-        durations = []
-        while i < len(times) and times[i] <= boundaries[k + 1] + slack:
-            if times[i] > boundaries[k]:
-                durations.append(times[i] - boundaries[k])
-            else:
-                y(states)
-            i += 1
-        if durations:
-            sample(durations, (u1, u2))
+        j = bisect_right(times, boundaries[k + 1] + slack)
+        if j > i:
+            sample([t - boundaries[k] for t in times[i:j]], (u1, u2))
+        i = j
         for lo in range(0, rows, _NODE_BLOCK):  # in place, a node block at a time
             block = states[lo : lo + _NODE_BLOCK]
             plan = RotationPlan(segment_axis(sigmas[lo : lo + _NODE_BLOCK], (u1, u2)), tau)
             rotate_planned(block, plan, range(3), block.T)
             del plan  # before the next block's
-    for _ in times[i:]:  # an empty schedule samples t = 0
-        y(states)
     return np.array(times), [np.array(v) for v in values], states
 
 

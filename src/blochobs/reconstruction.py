@@ -133,25 +133,16 @@ def feature_pairs(D: int) -> list[tuple[int, int]]:
     return [(a, s - a) for s in range(D + 1) for a in range(s + 1)]
 
 
-def oracle_moments(
-    truth: tuple[Profile, Density],
-    grid: ParameterGrid,
-    phi: Poly,
-    words: Sequence[Word],
-    D: int,
-) -> np.ndarray:
-    """Quadrature of m_xi^a m_zeta^b psi_i straight from the hidden truth: row
-    i per word, one column per feature in ``feature_pairs(D)`` order."""
-    basis_polys = [apply_word(w, phi) for w in words]
-    kexp = kappa_weights([kappa_of_word(w) for w in words], grid.nodes)
-    psi = oracle_psi_samples(truth, basis_polys, kexp)
+def oracle_moments(psi: np.ndarray, grid: ParameterGrid, D: int) -> np.ndarray:
+    """Quadrature of m_xi^a m_zeta^b psi_i over the grid, from the psi samples
+    of ``oracle_psi_samples``: row i per basis element, one column per
+    feature in ``feature_pairs(D)`` order."""
     m_xi = grid.nodes[:, 0] * grid.nodes[:, 1] ** 2
     m_zeta = grid.nodes[:, 1] ** 4
     pairs = feature_pairs(D)
-    moments = np.empty((len(words), len(pairs)))
+    moments = np.empty((len(psi), len(pairs)))
     for k, (a, b) in enumerate(pairs):
-        feat = m_xi**a * m_zeta**b
-        moments[:, k] = [np.dot(grid.weights, feat * row) for row in psi]
+        moments[:, k] = row_dots(m_xi**a * m_zeta**b * psi, grid.weights)
     return moments
 
 
@@ -178,7 +169,7 @@ class OutputSimulator:
             states = start
             for tau, u in zip(taus, us):
                 states = rotate_states(states, nodes, u, tau)
-            return float(np.dot(base, phi_eval(states)))
+            return float(row_dots(phi_eval(states), base))
 
         return y
 
@@ -209,7 +200,7 @@ class OutputSimulator:
         plans = [RotationPlan(segment_axis(sigmas, u), tau) for tau, u in segments]
         choices = np.arange(B)[:, None]
         ys = [np.empty(B**k) for k in range(depth + 1)]
-        ys[0][0] = float(np.dot(base, phi_eval(self.profile.states)))
+        ys[0][0] = row_dots(phi_eval(self.profile.states), base)
 
         def descend(parents: np.ndarray, level: int, prefixes: np.ndarray) -> None:
             # parents: (m * N, 3) states after the length-`level` prefixes
@@ -650,29 +641,29 @@ def reconstruct(
         lambda: constant_quadratic_form(HarmonicBasis(n, tuple(basis_polys))),
     )
 
-    truth = (truth_profile, truth_density)
     kexp = kappa_weights(kappas, grid.nodes)
-    if config.mode == "oracle-psi":
-        psi = _stage("psi-samples", oracle_psi_samples, truth, basis_polys, kexp)
+    if config.mode == "measured-moments":
+        sim = OutputSimulator(truth_profile, grid, truth_density)
+        moments = _stage(
+            "moments",
+            measured_moment_table,
+            sim,
+            phi,
+            words,
+            config.D,
+            config.fd_step,
+            config.fd_word_cap,
+        )
     else:
+        truth = (truth_profile, truth_density)
+        psi = _stage("psi-samples", oracle_psi_samples, truth, basis_polys, kexp)
         if config.mode == "oracle-moments":
-            moments = _stage("moments", oracle_moments, truth, grid, phi, words, config.D)
-        else:
-            sim = OutputSimulator(truth_profile, grid, truth_density)
-            moments = _stage(
-                "moments",
-                measured_moment_table,
-                sim,
-                phi,
-                words,
-                config.D,
-                config.fd_step,
-                config.fd_word_cap,
-            )
+            moments = _stage("moments", oracle_moments, psi, grid, config.D)
+    if config.mode != "oracle-psi":
+        psi = _stage("fit", fit_psi, moments, grid, config.D)
         fb = _feature_basis(grid.box, config.D)
         diagnostics["gram_condition"] = fb.gram_condition()
         diagnostics["gram_min_pivot"] = fb.min_pivot
-        psi = fit_psi(moments, grid, config.D)
 
     density, defined = _stage("density", recover_density, psi, identity, kexp, config.rho_floor)
     undefined = np.flatnonzero(~defined).tolist()

@@ -41,7 +41,6 @@ from blochobs.reconstruction import (
     PointInverter,
     ReconstructionConfig,
     measured_word_moments,
-    oracle_moments,
     reconstruct,
 )
 from blochobs.representation import (
@@ -283,7 +282,7 @@ def test_criterion_08_oracle_moments_density():
     announce(8, rel <= 1e-2, f"density L2 rel {rel:.2e}, Gram condition {cond:.2e}")
 
 
-def test_criterion_09_measured_vs_oracle_moments():
+def test_criterion_09_measured_vs_oracle_moments(oracle_table):
     grid = make_grid(BOX, 8, 8)
     profile = angles_profile(grid, (0.8, 0.5, 0.3), (0.2, 0.9, -0.4))
     density = gaussian_density(grid, (0.5, 1.0), (0.6, 0.6))
@@ -291,7 +290,7 @@ def test_criterion_09_measured_vs_oracle_moments():
     words = [()] + [(i,) for i in range(3)] + list(product(range(3), repeat=2))
     worst = 0.0
     for phi in (X3, X1 * X2):
-        oracle = oracle_moments((profile, density), grid, phi, words, D=0)
+        oracle = oracle_table((profile, density), grid, phi, words, D=0)
         measured = measured_word_moments(sim, phi, 2, fd_step=1e-2)
         scale = max(abs(v) for v in oracle[:, 0])
         for idx, w in enumerate(words):

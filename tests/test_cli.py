@@ -241,6 +241,22 @@ def test_phi_exponent_not_a_list_rejected(tmp_path):
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("name", [["x3"], {"x3": 1}], ids=["list", "object"])
+def test_phi_named_not_a_string_rejected(tmp_path, capsys, name):
+    cfg = base_config()
+    cfg["phi"] = {"degree": 1, "named": name}
+    path = write_config(tmp_path, cfg)
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: phi.named: unknown observable")
+
+
+def test_config_not_utf8_rejected(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(json.dumps(base_config()).encode("utf-16"))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")]) == 2
+    assert capsys.readouterr().err.startswith("config error: config is not UTF-8")
+
+
 def test_constant_phi_accepted_by_simulate_and_equivalence(tmp_path):
     const = {"degree": 0, "coefficients": [[[0, 0, 0], 1]]}
     path = write_config(tmp_path, base_config(phi=const))

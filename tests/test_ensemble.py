@@ -871,12 +871,16 @@ def test_csv_writers_match_per_row_reference(tmp_path, monkeypatch, block):
     assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
-@pytest.mark.parametrize("rows", [5, 10_007])
-@pytest.mark.parametrize("k", [3, 64])
+@pytest.mark.parametrize(
+    "k, rows",
+    [(3, 5), (3, 10_007), (64, 5), (64, 10_007), (8192, 5), (10_001, 5), (36_864, 5)],
+)
 def test_row_dots_match_per_row_dot(k, rows):
     """Each stacked row dot has the bits of np.dot on its two rows, for a
-    second stack of rows and for one vector broadcast against the stack (the
-    two forms stitch_signs, the report and output_tree use)."""
+    second stack of rows, for one vector broadcast against the stack (the
+    forms stitch_signs, the report, output and the moments use) and for a
+    (samples, pairs, k) stack against one row per pair (simulate's samples).
+    Rows longer than 10,000 go to the BLAS dot, as grids of that size do."""
     rng = np.random.default_rng(k + rows)
     a = rng.normal(size=(rows, k)) * rng.uniform(1e-3, 1e3, size=(rows, 1))
     b = rng.normal(size=(rows, k))
@@ -885,3 +889,6 @@ def test_row_dots_match_per_row_dot(k, rows):
     base = b[0]
     per_row = np.array([np.dot(base, x) for x in a])
     assert ensemble.row_dots(a, base).tobytes() == per_row.tobytes()
+    samples = a[: rows - rows % 2].reshape(-1, 2, k)
+    per_row = np.array([[np.dot(x, y) for x, y in zip(sample, b[:2])] for sample in samples])
+    assert ensemble.row_dots(samples, b[:2]).tobytes() == per_row.tobytes()

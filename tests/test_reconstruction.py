@@ -39,7 +39,6 @@ from blochobs.reconstruction import (
     kappa_weights,
     measured_moment_table,
     measured_word_moments,
-    oracle_moments,
     oracle_psi_samples,
     reconstruct,
     recover_density,
@@ -63,29 +62,29 @@ def smooth_truth(grid, widths=(0.6, 0.6)):
     return profile, density
 
 
-def test_oracle_moments_empty_word_is_y0():
+def test_oracle_moments_empty_word_is_y0(oracle_table):
     grid = make_grid(BOX, 6, 6)
     truth = smooth_truth(grid)
     words = word_basis_search(X3)
-    table = oracle_moments(truth, grid, X3, words, D=0)
+    table = oracle_table(truth, grid, X3, words, D=0)
     y0 = output(truth[0], grid, truth[1], X3)
     assert table.shape == (len(words), 1)
     assert table[0, 0] == pytest.approx(y0, abs=1e-13)
 
 
-def test_oracle_moments_zero_image_word():
+def test_oracle_moments_zero_image_word(oracle_table):
     # f0 x3 = 0, so a moment built on that image vanishes identically
     grid = make_grid(BOX, 4, 4)
     truth = smooth_truth(grid)
-    table = oracle_moments(truth, grid, X3, [(0,)], D=1)
+    table = oracle_table(truth, grid, X3, [(0,)], D=1)
     assert table.shape == (1, 3)
     assert np.all(table == 0.0)
 
 
-def test_oracle_moment_matches_direct_quadrature():
+def test_oracle_moment_matches_direct_quadrature(oracle_table):
     grid = make_grid(BOX, 6, 6)
     profile, density = smooth_truth(grid)
-    table = oracle_moments((profile, density), grid, X3, [(1,)], D=0)
+    table = oracle_table((profile, density), grid, X3, [(1,)], D=0)
     direct = -float(
         np.dot(
             grid.weights,
@@ -131,22 +130,22 @@ def test_measured_moments_empty_word():
 
 
 @pytest.mark.parametrize("word", [(1,), (2,), (0,)])
-def test_measured_moments_single_letters(word):
+def test_measured_moments_single_letters(oracle_table, word):
     grid = make_grid(BOX, 6, 6)
     truth = smooth_truth(grid)
     sim = OutputSimulator(truth[0], grid, truth[1])
-    oracle = oracle_moments(truth, grid, X3, [word], D=0)[0, 0]
+    oracle = oracle_table(truth, grid, X3, [word], D=0)[0, 0]
     measured = _word_moment(sim, X3, word, fd_step=1e-2)
     assert measured == pytest.approx(oracle, rel=1e-3, abs=1e-9)
 
 
-def test_measured_moments_length_two_h2():
+def test_measured_moments_length_two_h2(oracle_table):
     grid = make_grid(BOX, 6, 6)
     truth = smooth_truth(grid)
     sim = OutputSimulator(truth[0], grid, truth[1])
     phi = X1 * X2
     for word in [(1, 2), (0, 1)]:
-        oracle = oracle_moments(truth, grid, phi, [word], D=0)[0, 0]
+        oracle = oracle_table(truth, grid, phi, [word], D=0)[0, 0]
         measured = _word_moment(sim, phi, word, fd_step=1e-2)
         assert measured == pytest.approx(oracle, rel=1e-2, abs=1e-8)
 
@@ -251,14 +250,14 @@ def test_output_tree_plans_each_segment_once(depth, monkeypatch):
     assert builds == [4 * grid.size] * (2 * 6)
 
 
-def test_measured_moment_table_low_order():
+def test_measured_moment_table_low_order(oracle_table):
     """(a,b) = (1,0) entries need xi words: length 3 + base, within cap for phi words of length <= 1."""
     grid = make_grid(BOX, 5, 5)
     truth = smooth_truth(grid)
     sim = OutputSimulator(truth[0], grid, truth[1])
     words = [()]
     table = measured_moment_table(sim, X3, words, D=1, fd_step=2e-2, fd_word_cap=4)
-    oracle = oracle_moments(truth, grid, X3, words, D=1)
+    oracle = oracle_table(truth, grid, X3, words, D=1)
     assert table.shape == oracle.shape == (1, 3)
     for val, ref in zip(table.ravel(), oracle.ravel()):
         assert val == pytest.approx(ref, rel=2e-2, abs=1e-6)
@@ -346,7 +345,7 @@ def test_fit_psi_rejects_moments_of_another_degree(shape):
         fit_psi(np.zeros(shape), grid, 3)
 
 
-def test_feature_pairs_order_is_shared():
+def test_feature_pairs_order_is_shared(oracle_table):
     """The fit's features and the oracle's columns follow feature_pairs:
     by total degree, then a."""
     assert feature_pairs(2) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
@@ -354,7 +353,7 @@ def test_feature_pairs_order_is_shared():
     grid = make_grid(BOX, 6, 6)
     truth = smooth_truth(grid)
     words = word_basis_search(X3)
-    oracle = oracle_moments(truth, grid, X3, words, D=3)
+    oracle = oracle_table(truth, grid, X3, words, D=3)
     polys = [apply_word(w, X3) for w in words]
     kexp = kappa_weights([kappa_of_word(w) for w in words], grid.nodes)
     psi = oracle_psi_samples(truth, polys, kexp)
@@ -378,6 +377,43 @@ def test_reconstruct_evaluates_features_once(monkeypatch, mode):
     result = reconstruct(X3, grid, profile, density, cfg)
     assert len(result.diagnostics["words"]) == 3
     assert calls == [grid.size]
+
+
+def test_reconstruct_oracle_moments_weights_the_words_once(monkeypatch):
+    """oracle-moments integrates the psi samples that oracle-psi builds, so
+    the kappa weights of the words are evaluated once per run."""
+    grid = make_grid(BOX, 4, 4)
+    profile, density = smooth_truth(grid)
+    calls = []
+
+    def counted(kappas, nodes):
+        calls.append(len(kappas))
+        return kappa_weights(kappas, nodes)
+
+    monkeypatch.setattr(reconstruction, "kappa_weights", counted)
+    reconstruct(X3, grid, profile, density, ReconstructionConfig("oracle-moments", D=2))
+    assert calls == [3]
+
+
+@pytest.mark.parametrize("mode", ["oracle-moments", "measured-moments"])
+def test_reconstruct_fit_failure_names_the_fit_stage(monkeypatch, mode):
+    """The feature basis is built inside the fit stage, so a Gram matrix
+    that cannot be certified surfaces as a failure of stage 'fit'."""
+
+    def uncertified(gram):
+        raise ArithmeticError("Gram matrix not certified")
+
+    grid = make_grid(BOX, 4, 4)
+    profile, density = smooth_truth(grid)
+    monkeypatch.setattr(reconstruction, "certified_gram_schmidt", uncertified)
+    _feature_basis.cache_clear()
+    try:
+        with pytest.raises(StageError) as err:
+            reconstruct(X3, grid, profile, density, ReconstructionConfig(mode, D=0))
+    finally:
+        _feature_basis.cache_clear()
+    assert err.value.stage == "fit"
+    assert isinstance(err.value.cause, ArithmeticError)
 
 
 def test_gram_min_pivot_is_the_smallest_certified_pivot():
