@@ -5,7 +5,9 @@ addition-check.  Exit codes: 0 success, 1 computational failure, 2 usage or
 config error.  Configs are schema-checked (unknown keys rejected) before any
 computation runs; identical inputs (config, plus ``--seed`` for equivalence
 and addition-check) give byte-identical outputs on a fixed numpy/BLAS build and
-BLAS thread count.
+BLAS thread count.  The seeded commands draw from ``_pcg64.PCG64Stream``, the
+stream of ``numpy.random.default_rng(seed)`` computed in-repo, so the draws
+themselves do not depend on the numpy build.
 """
 
 from __future__ import annotations

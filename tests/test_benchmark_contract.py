@@ -7,6 +7,7 @@ patches modules process-wide.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -118,3 +119,38 @@ def test_traced_simulate_with_profile_out(tmp_path):
     assert [span[4] for span in spans] == [{"samples": samples}]
     assert "first_call" in rec
     assert len(profile.read_text().splitlines()) == 1 + 30
+
+
+def test_traced_equivalence(tmp_path):
+    """Set-up ends at the first call to ensemble.output_equiv_test, which the
+    tracer records as one span."""
+    truth = {"kind": "angles", "theta": [0.8, 0.5, 0.3], "phi": [0.2, 0.9, -0.4]}
+    antipode = {
+        "kind": "angles",
+        "theta": [math.pi - 0.8, -0.5, -0.3],
+        "phi": [0.2 + math.pi, 0.9, -0.4],
+    }
+    density = {"kind": "gaussian", "center": [0.5, 1.0], "widths": [0.6, 0.6]}
+    cfg = {
+        "box": BOX,
+        "grid": {"n1": 4, "n2": 4},
+        "phi": {"degree": 2, "named": "x1x2"},
+        "pair_a": {"profile": truth, "density": density},
+        "pair_b": {"profile": antipode, "density": density},
+        "trials": 3,
+        "tol": 1e-9,
+    }
+    path = tmp_path / "equivalence.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "verdict.json"
+    rec = _run_child(tmp_path, "cli", "equivalence", "--config", str(path), "--out", str(out))
+    spans = [span for span in rec["trace"]["spans"] if span[0] == "ensemble.output_equiv_test"]
+    assert len(spans) == 1
+    assert "first_call" in rec
+    assert json.loads(out.read_text())["verdict"] == "equivalent-so-far"
+
+
+def test_traced_identities(tmp_path):
+    out = tmp_path / "n2.json"
+    _run_child(tmp_path, "cli", "identities", "--degree", "2", "--out", str(out))
+    assert out.read_bytes() == (ROOT / "tests" / "golden" / "identities_n2.json").read_bytes()

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +18,7 @@ from blochobs.polynomials import Poly
 from blochobs.reconstruction import ReconstructionConfig, reconstruct
 
 GOLDEN = Path(__file__).parent / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def base_config(**overrides):
@@ -853,6 +857,77 @@ def test_negative_seed_is_a_usage_error(tmp_path, capsys, name):
 def test_addition_check():
     assert main(["addition-check", "--degree", "3", "--samples", "50"]) == 0
     assert main(["addition-check", "--degree", "2", "--tol", "1e-30"]) == 1
+
+
+def test_addition_check_pinned_line(capsys):
+    """Recorded with the Legendre functions evaluated exactly; the stream is
+    numpy's default_rng(7)."""
+    assert main(["addition-check", "--degree", "4", "--seed", "7"]) == 0
+    assert capsys.readouterr().out == "degree 4: max residual 3.331e-16 over 100 samples\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identities", "--degree", "10"],
+        ["identities", "--degree", "12"],
+        ["addition-check", "--degree", "12"],
+    ],
+    ids=["identities-10", "identities-12", "addition-check-12"],
+)
+def test_high_degree_addition_theorem_passes(tmp_path, capsys, argv):
+    """The float-summed Legendre polynomials failed the 1e-10 gate from n = 10
+    (residual 2.6e-10), although the theorem is exact."""
+    if argv[0] == "identities":
+        argv = argv + ["--out", str(tmp_path / "identity.json")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+# Runs the command through cli.main in a fresh interpreter and reports, on the
+# last line of stderr, its exit code, whether importing numpy alone loaded
+# numpy.random, and whether numpy.random is loaded after the command.
+_IMPORT_PROBE = """
+import sys
+import numpy
+eager = "numpy.random" in sys.modules
+from blochobs.cli import main
+code = main(sys.argv[1:])
+print(code, eager, "numpy.random" in sys.modules, file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("command", ["equivalence", "identities", "addition-check"])
+def test_seeded_commands_do_not_import_numpy_random(tmp_path, command):
+    """In this process other tests have loaded numpy.random already."""
+    if command == "equivalence":
+        cfg = {
+            "box": {"a1": 0.0, "b1": 1.0, "a2": 0.5, "b2": 1.5},
+            "grid": {"n1": 4, "n2": 4},
+            "phi": {"degree": 2, "named": "x1x2"},
+            "pair_a": TRUTH,
+            "pair_b": ANTIPODE,
+            "trials": 3,
+            "tol": 1e-9,
+        }
+        argv = ["equivalence", "--config", write_config(tmp_path, cfg)]
+    elif command == "identities":
+        argv = ["identities", "--degree", "2"]
+    else:
+        argv = ["addition-check", "--degree", "2"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    code, eager, loaded = proc.stderr.split()[-3:]
+    if eager == "True":
+        pytest.skip("this numpy loads numpy.random whenever numpy is imported")
+    assert (code, loaded) == ("0", "False"), proc.stderr
 
 
 @pytest.mark.parametrize(
