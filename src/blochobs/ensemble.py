@@ -23,8 +23,6 @@ import numpy as np
 
 from .polynomials import Poly
 
-_SMALL_ANGLE = 1e-8
-
 # Node-samples per evaluation of phi in simulate, and node states per block of
 # the measured-moments prefix tree.  At 1024 a 256-node grid batches 4 samples
 # per numpy call (2 in equivalence, which stacks both pairs); 4096 ran no
@@ -78,13 +76,9 @@ def make_grid(box: ParameterBox, n1: int, n2: int) -> ParameterGrid:
     s2 = box.a2 + (x2 + 1.0) * (box.b2 - box.a2) / 2.0
     w1 = w1 * (box.b1 - box.a1) / 2.0
     w2 = w2 * (box.b2 - box.a2) / 2.0
-    nodes = np.empty((n1 * n2, 2))
-    weights = np.empty(n1 * n2)
-    for i in range(n1):
-        lo = i * n2
-        nodes[lo : lo + n2, 0] = s1[i]
-        nodes[lo : lo + n2, 1] = s2
-        weights[lo : lo + n2] = w1[i] * w2
+    # node i*n2 + j is (s1[i], s2[j]) with weight w1[i]*w2[j]
+    nodes = np.stack([np.repeat(s1, n2), np.tile(s2, n1)], axis=1)
+    weights = np.outer(w1, w2).ravel()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return ParameterGrid(box, nodes, weights, (n1, n2))
@@ -226,7 +220,8 @@ def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class RotationPlan:
     """The part of a rotation about each omega row that does not depend on
     the states: the norms and unit axes and, when a duration tau is given,
-    cos and sin of the angles and the rows whose angle is small.
+    cos and sin of the angles.  A zero row keeps axis 0, so the rotation
+    formula gives its states back.
 
     A fixed-duration plan applies to the leading rows of any set of states
     (rotate_planned), so a plan built on a grid tiled m times serves every
@@ -234,12 +229,10 @@ class RotationPlan:
     """
 
     def __init__(self, omega: np.ndarray, tau: float | None = None):
-        self.omega = omega
         self.norms = np.linalg.norm(omega, axis=1)
         self.axis = omega / np.where(self.norms == 0.0, 1.0, self.norms)[:, None]
         if tau is not None:
-            self.tau = tau
-            self.trig = _angles(self.norms, tau, np.empty((3, len(omega))))
+            self.trig = _angles(self.norms, tau, np.empty((2, len(omega))))
 
     def bind(self, states: np.ndarray, axes: Sequence[int] = range(3)):
         """The cross products (rows d in axes of a (3, M) array, from
@@ -256,38 +249,29 @@ class RotationPlan:
 
 
 def _angles(norms: np.ndarray, tau: float, work: np.ndarray):
-    """cos and sin of the angles norms*tau, in rows 1 and 2 of the (3, rows)
-    work array, and the indices of the small angles."""
-    tmp, cos, sin = work
-    np.multiply(norms, tau, out=tmp)
-    np.cos(tmp, out=cos)
-    np.sin(tmp, out=sin)
-    return cos, sin, np.flatnonzero(np.abs(tmp, out=tmp) < _SMALL_ANGLE)
+    """cos and sin of the angles norms*tau, in the rows of the (2, rows) work
+    array; the sin row holds the angles until sin overwrites them."""
+    cos, sin = work
+    np.multiply(norms, tau, out=sin)
+    return np.cos(sin, out=cos), np.sin(sin, out=sin)
 
 
-def _write(states, cross, axis, dot, tau, trig, axes, out, scratch, omega_rows) -> None:
+def _write(states, cross, axis, dot, trig, axes, out, scratch) -> None:
     """The rotation formula: out[d] = states[:, d]*cos + cross[d]*sin +
     axis[d]*(dot*(1-cos)) for d in axes, summed in this order, so the bits match
-    the one-expression formula.  cross, axis and out are rows of (3, rows) arrays
-    or dicts of the rows in axes; out may be states.T.  trig is (cos, sin, small)
-    on the rows of states, omega_rows(small) the omega rows of the small angles,
-    and scratch two row buffers, the second of which may be sin."""
-    cos, sin, small = trig
+    the one-expression formula.  It holds at every angle; a zero omega row has
+    cos 1, sin 0 and axis 0.  cross, axis and out are rows of (3, rows) arrays
+    or dicts of the rows in axes; out may be states.T.  trig is (cos, sin) on
+    the rows of states, and scratch two row buffers, the second of which may
+    be sin."""
+    cos, sin = trig
     tmp, scale = scratch
-    x = states[small]
     for d in axes:
         np.multiply(states[:, d], cos, out=out[d])
         out[d] += np.multiply(cross[d], sin, out=tmp)
     np.multiply(dot, np.subtract(1.0, cos, out=scale), out=scale)
     for d in axes:
         out[d] += np.multiply(axis[d], scale, out=tmp)
-    if small.size:
-        # second-order series in tau avoids 0/0 on the axis normalization
-        omega = omega_rows(small)
-        wxs = np.cross(omega, x)
-        wwxs = np.cross(omega, wxs)
-        for d in axes:
-            out[d][small] = x[:, d] + tau * wxs[:, d] + 0.5 * tau * tau * wwxs[:, d]
 
 
 def rotate_planned(
@@ -298,11 +282,8 @@ def rotate_planned(
     may be states.T."""
     rows = len(states)
     cross, dot = plan.bind(states, axes)
-    cos, sin, small = plan.trig
-    if small.size and small[-1] >= rows:
-        small = small[: np.searchsorted(small, rows)]
-    trig, axis = (cos[:rows], sin[:rows], small), plan.axis[:rows].T
-    _write(states, cross, axis, dot, plan.tau, trig, axes, out, np.empty((2, rows)), plan.omega.__getitem__)
+    trig = [t[:rows] for t in plan.trig]
+    _write(states, cross, plan.axis[:rows].T, dot, trig, axes, out, np.empty((2, rows)))
 
 
 def segment_axis(sigma: np.ndarray, u: Sequence[float]) -> np.ndarray:
@@ -360,8 +341,6 @@ def compile_phi(phi: Poly) -> Callable[[np.ndarray], np.ndarray]:
     reads = [d for d in range(3) if steps[d]]
 
     def evaluate(states: np.ndarray) -> np.ndarray:
-        if exps.shape[0] == 0:
-            return np.zeros(states.shape[0])
         term_vals = np.empty((states.shape[0], exps.shape[0]))
         term_vals[:, constant] = 1.0
         for j, d in enumerate(reads):
@@ -458,19 +437,15 @@ def _simulate_pairs(
             for d in axes:
                 cross[d][block], axis[d][block] = c[d], plan.axis[:, d]
             del c, plan  # before the next block's
-        work = np.empty((3, rows))
+        work = np.empty((3, rows))  # a scratch row, then cos and sin
         buf = np.empty((len(axes), m * rows))  # the coordinates phi reads
-
-        def omega_rows(small: np.ndarray) -> np.ndarray:
-            return segment_axis(sigmas[small], u)
-
         for lo in range(0, len(durations), m):
             chunk = durations[lo : lo + m]
             out = buf[:, : len(chunk) * rows]
             for j, tau in enumerate(chunk):
                 cols = dict(zip(axes, out[:, j * rows : (j + 1) * rows]))
-                trig = _angles(norms, tau, work)
-                _write(states, cross, axis, dot, tau, trig, axes, cols, (work[0], work[2]), omega_rows)
+                trig = _angles(norms, tau, work[1:])
+                _write(states, cross, axis, dot, trig, axes, cols, (work[0], work[2]))
             y(out.T)
 
     y(states)  # t = 0, the one sample of an empty schedule

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -68,6 +69,32 @@ def test_quadrature_exact_on_monomials():
     assert abs(approx - exact) <= 1e-12 * abs(exact)
 
 
+@pytest.mark.parametrize(
+    "box, n1, n2",
+    [("box", 1, 1), ("box", 3, 4), ("sym", 3, 4), ("sym", 1, 5), ("box", 6, 1), ("sym", 101, 103)],
+)
+def test_grid_node_order(box, n1, n2):
+    """Node i*n2 + j is (s1[i], s2[j]) with weight w1[i]*w2[j], bit for bit,
+    the order that sign stitching, the CSV writers and the benchmark checks
+    read; nodes and weights are read-only."""
+    box = {"box": BOX, "sym": SYM_BOX}[box]
+    grid = make_grid(box, n1, n2)
+    x1, w1 = np.polynomial.legendre.leggauss(n1)
+    x2, w2 = np.polynomial.legendre.leggauss(n2)
+    s1 = box.a1 + (x1 + 1.0) * (box.b1 - box.a1) / 2.0
+    s2 = box.a2 + (x2 + 1.0) * (box.b2 - box.a2) / 2.0
+    w1 = w1 * (box.b1 - box.a1) / 2.0
+    w2 = w2 * (box.b2 - box.a2) / 2.0
+    i, j = np.divmod(np.arange(n1 * n2), n2)
+    assert grid.shape == (n1, n2)
+    assert grid.nodes.tobytes() == np.stack([s1[i], s2[j]], axis=1).tobytes()
+    assert grid.weights.tobytes() == (w1[i] * w2[j]).tobytes()
+    for array in (grid.nodes, grid.weights):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+
+
 def rotate_one(x, sigma, u, tau):
     """One state through one constant-control segment: a one-row batch."""
     return rotate_states(np.array([x], dtype=float), np.array([sigma], dtype=float), u, tau)[0]
@@ -100,6 +127,53 @@ def test_small_angle_branch_matches_rotation():
         assert abs(np.linalg.norm(small) - 1) <= 1e-12
         direction = (coarse - x0) / 1e-6
         np.testing.assert_allclose((small - x0) / tau, direction, atol=1e-5)
+
+
+def _exact_rotation(x, omega, tau, terms=5):
+    """exp(tau [omega]x) x as a Taylor series of the given number of terms in
+    exact rational arithmetic on the float inputs."""
+    w, t = [Fraction(c) for c in omega], Fraction(tau)
+    total = term = [Fraction(c) for c in x]
+    for k in range(1, terms):
+        term = [
+            t / k * (w[(d + 1) % 3] * term[(d + 2) % 3] - w[(d + 2) % 3] * term[(d + 1) % 3])
+            for d in range(3)
+        ]
+        total = [a + b for a, b in zip(total, term)]
+    return total
+
+
+@pytest.mark.parametrize("angle", [1e-300, 1e-12, 1e-9, 9.9e-9, 1e-8, 1.1e-8, 1e-6])
+def test_rotation_within_one_eps_at_tiny_angles(angle):
+    """The closed form rotates every row, at angles on both sides of 1e-8,
+    within 1 eps (absolute) of the exact rotation in every component."""
+    rng = np.random.default_rng(21)
+    eps = Fraction(float(np.finfo(float).eps))
+    for _ in range(20):
+        x, v = rng.normal(size=(2, 3))
+        x /= np.linalg.norm(x)
+        v /= np.linalg.norm(v)
+        # sigma = (-v3, 1) and u = (v2, -v1) give omega = v exactly
+        sigma, u = (-v[2], 1.0), (v[1], -v[0])
+        omega = ensemble.segment_axis(np.array(sigma), u)
+        assert np.array_equal(omega, v)
+        tau = angle / float(np.linalg.norm(v))
+        got = rotate_one(x, sigma, u, tau)
+        exact = _exact_rotation(x, omega, tau)
+        assert all(abs(Fraction(g) - e) <= eps for g, e in zip(got.tolist(), exact))
+
+
+@pytest.mark.parametrize("tau", [0.7, -0.3, 1e-9, 0.0])
+def test_zero_axis_rows_keep_their_states(tau):
+    """Where omega = 0 (sigma1 = 0, u = 0) cos 1, sin 0 and axis 0 give each
+    state back bit for bit."""
+    grid = make_grid(SYM_BOX, 3, 4)
+    zero = grid.nodes[:, 0] == 0.0
+    assert zero.sum() == 4
+    states = angles_profile(grid, (0.7, 0.2, 0.1), (0.0, 0.9, 0.4)).states
+    assert np.all(states != 0.0)
+    rotated = rotate_states(states, grid.nodes, (0.0, 0.0), tau)
+    assert rotated[zero].tobytes() == states[zero].tobytes()
 
 
 def test_norm_preservation_long_run():
@@ -348,6 +422,15 @@ def test_compile_phi_matches_power_tables(phi):
         assert np.array_equal(got, expected)
 
 
+def test_compile_phi_zero_poly_gives_zeros():
+    """No terms: the (N, 0) by (0,) product gives +0.0 zeros, also for N = 0."""
+    evaluate = compile_phi(Poly.zero())
+    for shape in ((5, 3), (5, 1), (0, 3)):
+        got = evaluate(np.full(shape, 0.5))
+        assert got.shape == (shape[0],)
+        assert got.tobytes() == np.zeros(shape[0]).tobytes()
+
+
 def test_table_profile_rejects_nan_row():
     grid = make_grid(BOX, 2, 2)
     rows = [[0.0, 0.0, 1.0]] * 3 + [[float("nan"), 0.0, 1.0]]
@@ -437,11 +520,11 @@ def _simulate_reference(profile, grid, density, schedule, phi, dt):
 
 
 # sigma1 = 0 is a node of the 3-point rule on [-1, 1], so a zero-control
-# segment there has omega = 0: the norm guard and the series branch both run.
+# segment there has omega = 0 and the norm guard runs.
 SYM_BOX = ParameterBox(-1.0, 1.0, 0.5, 1.5)
 
 # Three segments, the middle one zero-control; the sample at 0.3 lies about
-# 1e-10 after the first boundary (series branch) and shares its block.
+# 1e-10 after the first boundary (an angle below 1e-8) and shares its block.
 MIXED = ((0.3 - 1e-10, 1.0, -0.5), (0.25, 0.0, 0.0), (0.2, -1.1, 0.6))
 RE_W2 = X1 * X1 - X2 * X2
 RE_W6 = X1**6 - 15 * X1**4 * X2**2 + 15 * X1**2 * X2**4 - X2**6
@@ -450,7 +533,7 @@ RE_W6 = X1**6 - 15 * X1**4 * X2**2 + 15 * X1**2 * X2**4 - X2**6
 @pytest.mark.parametrize(
     "schedule, dt, phi, block",
     [
-        # the sample at 0.3 lies about 1e-10 after the boundary: series branch
+        # the sample at 0.3 lies about 1e-10 after the boundary: a tiny angle
         (((0.3 - 1e-10, 1.0, -0.5), (0.4, -0.7, 0.2)), 0.1, X3, None),
         (((0.25, 0.8, 0.3), (0.3, 0.0, 0.0), (0.2, -1.1, 0.6)), 0.05, X3, None),
         (((0.3, 0.5, 0.5), (0.2, -0.4, 1.3)), 10.0, X3, None),
@@ -511,7 +594,7 @@ class _Rotation:
     rotation formula as one expression per duration."""
 
     def __init__(self, states, omega):
-        self.states, self.omega = states, omega
+        self.states = states
         self.norms = np.linalg.norm(omega, axis=1)
         self.axis = omega / np.where(self.norms == 0.0, 1.0, self.norms)[:, None]
         self.cross = np.cross(self.axis, states)
@@ -520,17 +603,11 @@ class _Rotation:
     def __call__(self, tau):
         angles = self.norms * tau
         cos, sin = np.cos(angles), np.sin(angles)
-        rotated = (
+        return (
             self.states * cos[:, None]
             + self.cross * sin[:, None]
             + self.axis * (self.dot * (1.0 - cos))[:, None]
         )
-        small = np.abs(angles) < ensemble._SMALL_ANGLE
-        if small.any():
-            x, omega = self.states[small], self.omega[small]
-            wxs = np.cross(omega, x)
-            rotated[small] = x + tau * wxs + 0.5 * tau * tau * np.cross(omega, wxs)
-        return rotated
 
 
 def _sequential_states(states, grid, schedule, dt):
@@ -565,7 +642,7 @@ def _simulate_sequential(pairs, grid, schedule, phi, dt):
 
 # The schedule of the sequential-reference tests: the sample at 0.3 lies about
 # 1e-10 after the first boundary, the 1e-9 segment turns every node by less
-# than 1e-8 (series branch), and the last segment has zero control.
+# than 1e-8, and the last segment has zero control.
 SEQUENTIAL = ((0.3 - 1e-10, 1.0, -0.5), (1e-9, 0.7, 1.9), (0.25, -1.1, 0.6), (0.2, 0.0, 0.0))
 SEQ_PHIS = [Poly.constant(3), X3, X1 * X2, X1 * X2 * X3]
 SEQ_IDS = ["constant", "x3", "x1x2", "x1x2x3"]
@@ -656,7 +733,7 @@ def test_rotation_samples_match_calls(block, monkeypatch):
     """Each block simulate hands to phi holds, for each of its samples, the
     sequential sampler's bits in one column per coordinate phi reads, or all
     three for the states at a segment start.  The sample 1e-10 after a
-    boundary (series branch) and the zero-control nodes (omega = 0) sit inside
+    boundary (a tiny angle) and the zero-control nodes (omega = 0) sit inside
     multi-sample blocks."""
     if block is not None:
         monkeypatch.setattr(ensemble, "_BLOCK", block)
@@ -782,11 +859,7 @@ def _rotate_one_expression(states, omega, tau):
     dot = np.einsum("ij,ij->i", axis, states)
     cos = np.cos(angles)[:, None]
     sin = np.sin(angles)[:, None]
-    rotated = states * cos + cross * sin + axis * (dot * (1.0 - cos.ravel()))[:, None]
-    small = np.abs(angles) < ensemble._SMALL_ANGLE
-    wxs = np.cross(omega, states)
-    series = states + tau * wxs + 0.5 * tau * tau * np.cross(omega, wxs)
-    return np.where(small[:, None], series, rotated)
+    return states * cos + cross * sin + axis * (dot * (1.0 - cos.ravel()))[:, None]
 
 
 @pytest.mark.parametrize("tau", [0.7, -0.3, 1e-10, 0.0])
