@@ -4,10 +4,10 @@ Subcommands: verify-rep, identities, simulate, equivalence, reconstruct,
 addition-check.  Exit codes: 0 success, 1 computational failure, 2 usage or
 config error.  Configs are schema-checked (unknown keys rejected) before any
 computation runs; identical inputs (config, plus ``--seed`` for equivalence
-and addition-check) give byte-identical outputs on a fixed numpy/BLAS build and
-BLAS thread count.  The seeded commands draw from ``_pcg64.PCG64Stream``, the
-stream of ``numpy.random.default_rng(seed)`` computed in-repo, so the draws
-themselves do not depend on the numpy build.
+and addition-check) give byte-identical outputs on a fixed numpy/BLAS build,
+under any BLAS thread count (``ensemble.row_dots``).  The seeded commands draw
+only ``random()`` from ``random.Random(seed)``, a sequence that Python keeps
+across versions for an int seed and that no numpy version changes.
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -207,14 +208,24 @@ class OutputTrace:
             raise ValueError("times and values must have equal length")
 
 
+# Elements per partial sum of row_dots: a power of two below the length
+# (10,000 in OpenBLAS) from which a BLAS dot may split its sum over threads.
+_DOT_CHUNK = 8192
+
+
 def row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products of the rows (last axis) of a and b, broadcast over the
     other axes: the one weighted sum over the grid nodes (outputs, moments)
-    and over short rows (stitch edges, the report).  numpy's matmul sends
-    each stacked 1 x K by K x 1 product to the inner loop np.dot uses, so
-    every entry has the bits of np.dot on the two rows; a matrix-vector
-    product (a @ v) does not."""
-    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+    and over short rows (stitch edges, the report).  Each chunk of at most
+    _DOT_CHUNK elements is one stacked 1 x K by K x 1 matmul, which numpy
+    sends to np.dot's inner loop (a @ v would not), and the chunks add in
+    order: an entry has np.dot's bits up to _DOT_CHUNK elements, and never
+    depends on the BLAS thread count."""
+    total = np.matmul(a[..., None, :_DOT_CHUNK], b[..., :_DOT_CHUNK, None])[..., 0, 0]
+    for lo in range(_DOT_CHUNK, a.shape[-1], _DOT_CHUNK):
+        hi = lo + _DOT_CHUNK
+        total += np.matmul(a[..., None, lo:hi], b[..., lo:hi, None])[..., 0, 0]
+    return total
 
 
 class RotationPlan:
@@ -476,13 +487,13 @@ class EquivalenceVerdict:
 _MAX_SEGMENTS = 4
 
 
-def random_schedule(rng) -> ControlSchedule:
-    """A schedule from ``rng``'s ``integers`` and ``uniform``: a
-    ``PCG64Stream`` or a ``numpy.random.Generator``."""
-    count = int(rng.integers(1, _MAX_SEGMENTS + 1))
+def random_schedule(rng: random.Random) -> ControlSchedule:
+    """1 to _MAX_SEGMENTS segments of duration in [0.1, 1) and controls in
+    [-2, 2), from ``rng.random()`` alone (``uniform`` scales one such draw),
+    whose sequence Python keeps across versions for an int seed."""
+    count = 1 + int(_MAX_SEGMENTS * rng.random())
     segs = tuple(
-        (float(rng.uniform(0.1, 1.0)), float(rng.uniform(-2, 2)), float(rng.uniform(-2, 2)))
-        for _ in range(count)
+        (rng.uniform(0.1, 1.0), rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(count)
     )
     return ControlSchedule(segs)
 
@@ -506,9 +517,9 @@ def output_equiv_test(
         raise ValueError("trials must be at least 1")
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
-    from ._pcg64 import PCG64Stream
-
-    rng = PCG64Stream(seed)
+    if seed < 0:  # random.Random would silently use abs(seed)
+        raise ValueError("seed must be nonnegative")
+    rng = random.Random(seed)
     worst = 0.0
     for trial in range(trials):
         schedule = random_schedule(rng)

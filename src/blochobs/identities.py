@@ -13,6 +13,7 @@ core.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -207,6 +208,21 @@ def _diff_poly_x2m1(n: int, order: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+def _rodrigues_ratio(n: int, k: int, t: float) -> tuple[int, int]:
+    """Integers num, den with num / den = d^(n+k)/dx^(n+k) (x^2 - 1)^n / (2^n n!)
+    at the float t, exactly."""
+    if abs(k) > n:
+        raise ValueError("|k| must be <= n")
+    if not -1.0 <= t <= 1.0:
+        raise ValueError("t must lie in [-1, 1]")
+    p, q = float(t).as_integer_ratio()
+    num, den = 0, 1  # the Horner value so far is num / den
+    for c in reversed(_diff_poly_x2m1(n, n + k)):
+        den *= q
+        num = num * p + c * den
+    return num, den * 2**n * factorial(n)
+
+
 def assoc_legendre(n: int, k: int, t: float) -> float:
     """Associated Legendre value via exact pre-differentiation of (x^2-1)^n.
 
@@ -214,44 +230,42 @@ def assoc_legendre(n: int, k: int, t: float) -> float:
     the float t and rounded once: summed in floats, the alternating terms
     leave a roundoff that grows past 1e-10 in the addition theorem from n = 10.
     """
-    if abs(k) > n:
-        raise ValueError("|k| must be <= n")
-    if not -1.0 <= t <= 1.0:
-        raise ValueError("t must lie in [-1, 1]")
+    num, den = _rodrigues_ratio(n, k, t)
     if k != 0 and t in (-1.0, 1.0):
         return 0.0
-    p, q = float(t).as_integer_ratio()
-    num, den = 0, 1  # the Horner value so far is num / den
-    for c in reversed(_diff_poly_x2m1(n, n + k)):
-        den *= q
-        num = num * p + c * den
-    value = (-num if k % 2 else num) / (den * 2**n * factorial(n))
-    return value * (1 - t * t) ** (k / 2)
+    return (-num if k % 2 else num) / den * (1 - t * t) ** (k / 2)
 
 
 def spherical_harmonic(n: int, k: int, theta: float, phi: float) -> complex:
-    if abs(k) > n:
-        raise ValueError("|k| must be <= n")
-    norm = math.sqrt(
-        (2 * n + 1) / (4 * math.pi) * factorial(n - k) / factorial(n + k)
-    )
-    return (
-        ((-1) ** k)
-        * norm
-        * assoc_legendre(n, k, math.cos(theta))
-        * complex(math.cos(k * phi), math.sin(k * phi))
-    )
+    """(-1)^k sqrt((2n+1)/(4 pi) (n-k)!/(n+k)!) P_n^k(cos theta) e^(i k phi).
+
+    Its squared magnitude, norm and (1 - t^2)^k included, is one exact ratio
+    at t = cos(theta), rounded once: in floats the factorials leave the range
+    from 171, and P_n^n from n = 151."""
+    t = math.cos(theta)
+    num, den = _rodrigues_ratio(n, k, t)
+    if k != 0 and t in (-1.0, 1.0):
+        return 0j
+    p, q = t.as_integer_ratio()
+    rise, fall = (q * q - p * p) ** abs(k), (q * q) ** abs(k)  # (1 - t^2)^|k|
+    if k < 0:
+        rise, fall = fall, rise
+    top = (2 * n + 1) * factorial(n - k) * num * num * rise
+    bottom = factorial(n + k) * den * den * fall
+    magnitude = math.sqrt(top / bottom / (4 * math.pi))
+    return (-magnitude if num < 0 else magnitude) * complex(math.cos(k * phi), math.sin(k * phi))
 
 
 def addition_theorem_residual(n: int, sample_count: int = 100, seed: int = 0) -> float:
-    """max over random sphere points of |sum_k |Y_n^k|^2 - (2n+1)/(4 pi)|."""
+    """max over random sphere points of |sum_k |Y_n^k|^2 - (2n+1)/(4 pi)|,
+    with cos(theta) and phi drawn by ``uniform`` from ``random.Random(seed)``."""
     if n < 0:
         raise ValueError("n must be >= 0")
     if sample_count < 1:
         raise ValueError("sample_count must be at least 1")
-    from ._pcg64 import PCG64Stream
-
-    rng = PCG64Stream(seed)
+    if seed < 0:  # random.Random would silently use abs(seed)
+        raise ValueError("seed must be nonnegative")
+    rng = random.Random(seed)
     expected = (2 * n + 1) / (4 * math.pi)
     worst = 0.0
     for _ in range(sample_count):

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -482,6 +483,38 @@ def test_equivalence_rejects_meaningless_settings(trials, tol):
         output_equiv_test(pair, pair, grid, X3, trials=trials, seed=0, tol=tol)
 
 
+def test_negative_seed_rejected():
+    """random.Random(-3) would silently draw what seed 3 draws.  Seeds past
+    64 bits run, and draw schedules of their own."""
+    grid = make_grid(BOX, 2, 2)
+    pair = (constant_profile(grid, (0, 0, 1)), uniform_density(grid))
+    with pytest.raises(ValueError, match="seed"):
+        output_equiv_test(pair, pair, grid, X3, trials=1, seed=-3, tol=1e-12)
+    for seed in (2**64 + 3, 10**30):
+        verdict = output_equiv_test(pair, pair, grid, X3, trials=2, seed=seed, tol=1e-12)
+        assert verdict.kind == "equivalent-so-far"
+    draws = [ensemble.random_schedule(random.Random(seed)) for seed in (3, 2**64 + 3)]
+    assert draws[0] != draws[1]
+
+
+def test_random_schedule_draws_only_random():
+    """Every draw is one rng.random(): the count is 1 + int(4 * u) and each
+    segment is three uniform draws, so the schedule is fixed by the
+    documented sequence of random() for an int seed."""
+    draws = iter([0.25, 0.5, 0.25, 0.75, 0.999, 0.0, 0.5])
+
+    class Stream(random.Random):
+        def random(self):
+            return next(draws)
+
+    schedule = ensemble.random_schedule(Stream())
+    assert schedule.segments == (
+        (0.1 + 0.9 * 0.5, -1.0, 1.0),
+        (0.1 + 0.9 * 0.999, -2.0, 0.0),
+    )
+    assert next(draws, None) is None
+
+
 def _sample_times(schedule, dt):
     """simulate's sample times, the segment boundaries and the slack."""
     total = schedule.total_duration
@@ -626,6 +659,15 @@ def _sequential_states(states, grid, schedule, dt):
     yield states
 
 
+def _chunked_dot(x, y):
+    """np.dot over consecutive 8,192-element chunks, added in order: the sum
+    row_dots forms, whose bits no BLAS thread count changes."""
+    total = np.dot(x[:8192], y[:8192])
+    for lo in range(8192, len(x), 8192):
+        total += np.dot(x[lo : lo + 8192], y[lo : lo + 8192])
+    return total
+
+
 def _simulate_sequential(pairs, grid, schedule, phi, dt):
     """simulate's sample times, values per pair and stacked final states, one
     pair and one sample at a time."""
@@ -635,7 +677,7 @@ def _simulate_sequential(pairs, grid, schedule, phi, dt):
     for profile, density in pairs:
         base = grid.weights * density.values
         *samples, final = _sequential_states(profile.states, grid, schedule, dt)
-        values.append(np.array([float(np.dot(base, phi_eval(x))) for x in samples]))
+        values.append(np.array([float(_chunked_dot(base, phi_eval(x))) for x in samples]))
         finals.append(final)
     return np.array(times), values, np.concatenate(finals)
 
@@ -767,7 +809,7 @@ def test_rotation_samples_match_calls(block, monkeypatch):
 def _equiv_test_reference(pair_a, pair_b, grid, phi, trials, seed, tol, dt=0.05):
     """output_equiv_test one pair and one sample at a time, kept as the
     reference for the one-pass pair simulation."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     worst = 0.0
     for trial in range(trials):
         schedule = ensemble.random_schedule(rng)
@@ -805,7 +847,7 @@ def test_equivalence_matches_two_simulations(phi, n, tol):
     )
     antipode = angles_profile(grid, (math.pi - 0.8, -0.5, -0.3), (0.2 + math.pi, 0.9, -0.4))
     pair_b = (antipode, gaussian_density(grid, (0.45, 1.05), (0.6, 0.6)) if phi == X3 else pair_a[1])
-    schedule = ensemble.random_schedule(np.random.default_rng(5))
+    schedule = ensemble.random_schedule(random.Random(5))
     times, values, _ = ensemble._simulate_pairs([pair_a, pair_b], grid, schedule, phi, 0.05)
     for (profile, density), got in zip((pair_a, pair_b), values):
         trace = simulate(profile, grid, density, schedule, phi, 0.05)
@@ -949,19 +991,24 @@ def test_csv_writers_match_per_row_reference(tmp_path, monkeypatch, block):
     [(3, 5), (3, 10_007), (64, 5), (64, 10_007), (8192, 5), (10_001, 5), (36_864, 5)],
 )
 def test_row_dots_match_per_row_dot(k, rows):
-    """Each stacked row dot has the bits of np.dot on its two rows, for a
-    second stack of rows, for one vector broadcast against the stack (the
-    forms stitch_signs, the report, output and the moments use) and for a
-    (samples, pairs, k) stack against one row per pair (simulate's samples).
-    Rows longer than 10,000 go to the BLAS dot, as grids of that size do."""
+    """Each stacked row dot has the bits of np.dot on its two rows, summed
+    over 8,192-element chunks in order, for a second stack of rows, for one
+    vector broadcast against the stack (the forms stitch_signs, the report,
+    output and the moments use) and for a (samples, pairs, k) stack against
+    one row per pair (simulate's samples).  Up to 8,192 elements that is
+    np.dot itself; rows longer than 10,000 would go to the BLAS dot whole."""
     rng = np.random.default_rng(k + rows)
     a = rng.normal(size=(rows, k)) * rng.uniform(1e-3, 1e3, size=(rows, 1))
     b = rng.normal(size=(rows, k))
-    per_row = np.array([np.dot(x, y) for x, y in zip(a, b)])
+    per_row = np.array([_chunked_dot(x, y) for x, y in zip(a, b)])
     assert ensemble.row_dots(a, b).tobytes() == per_row.tobytes()
     base = b[0]
-    per_row = np.array([np.dot(base, x) for x in a])
+    per_row = np.array([_chunked_dot(base, x) for x in a])
     assert ensemble.row_dots(a, base).tobytes() == per_row.tobytes()
     samples = a[: rows - rows % 2].reshape(-1, 2, k)
-    per_row = np.array([[np.dot(x, y) for x, y in zip(sample, b[:2])] for sample in samples])
+    per_row = np.array([[_chunked_dot(x, y) for x, y in zip(sample, b[:2])] for sample in samples])
     assert ensemble.row_dots(samples, b[:2]).tobytes() == per_row.tobytes()
+    if k <= 8192:
+        assert per_row.tobytes() == np.array(
+            [[np.dot(x, y) for x, y in zip(sample, b[:2])] for sample in samples]
+        ).tobytes()

@@ -276,6 +276,35 @@ def test_addition_theorem_near_roundoff(n):
     assert addition_theorem_residual(n, 100, 0) <= 1e-13
 
 
+def test_addition_theorem_negative_seed_rejected():
+    """random.Random(-3) would silently draw what seed 3 draws."""
+    with pytest.raises(ValueError, match="seed"):
+        addition_theorem_residual(2, 10, seed=-3)
+    for seed in (2**64 + 3, 10**30):
+        assert addition_theorem_residual(2, 10, seed) <= 1e-13
+
+
+def test_spherical_harmonic_degree_one():
+    """The sign convention and the norm, from the closed forms: the factor
+    (-1)^k cancels the Condon-Shortley sign of P_n^k."""
+    for theta, phi in ((0.3, 1.0), (2.0, 4.5), (1.2, -0.7)):
+        y10 = math.sqrt(3 / (4 * math.pi)) * math.cos(theta)
+        y11 = math.sqrt(3 / (8 * math.pi)) * math.sin(theta) * complex(math.cos(phi), math.sin(phi))
+        assert spherical_harmonic(1, 0, theta, phi) == pytest.approx(y10, abs=1e-15)
+        assert spherical_harmonic(1, 1, theta, phi) == pytest.approx(y11, abs=1e-15)
+        assert spherical_harmonic(1, -1, theta, phi) == pytest.approx(-y11.conjugate(), abs=1e-15)
+
+
+def test_spherical_harmonic_high_degree():
+    """The norm's factorials pass the float range from 171 and P_n^n passes it
+    from n = 151 (the CLI runs n = 100); the squared magnitude as one exact
+    ratio stays in range."""
+    n, theta, phi = 200, 1.1, 0.4
+    total = sum(abs(spherical_harmonic(n, k, theta, phi)) ** 2 for k in range(-n, n + 1))
+    assert abs(total - (2 * n + 1) / (4 * math.pi)) <= 1e-12
+    assert spherical_harmonic(n, n, 0.0, phi) == 0.0
+
+
 def test_spherical_harmonic_proportional_to_ladder():
     """Y_n^k matches ladder p_(n-k) on the sphere up to one constant per (n,k)."""
     rng = random.Random(8)
