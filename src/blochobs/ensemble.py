@@ -29,10 +29,6 @@ from .polynomials import Poly
 # per numpy call (2 in equivalence, which stacks both pairs); 4096 ran no
 # faster there and raised the peak resident memory by about 0.3 MB.
 _BLOCK = 1024
-# Node rows per block of simulate's segment set-up and in-place segment-end
-# rotation.  On a 192 x 192 grid over 100 segments, 1024 took 0.3 s longer
-# than 4096 and 8192 ran no faster; the samples, not the blocks, set the peak.
-_NODE_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -210,6 +206,8 @@ class OutputTrace:
 
 # Elements per partial sum of row_dots: a power of two below the length
 # (10,000 in OpenBLAS) from which a BLAS dot may split its sum over threads.
+# simulate sweeps larger grids a chunk at a time, so its working set is one
+# chunk's: a chunk's rotation set-up serves its samples and its segment end.
 _DOT_CHUNK = 8192
 
 
@@ -271,8 +269,8 @@ def _write(states, cross, axis, dot, trig, axes, out, scratch) -> None:
     """The rotation formula: out[d] = states[:, d]*cos + cross[d]*sin +
     axis[d]*(dot*(1-cos)) for d in axes, summed in this order, so the bits match
     the one-expression formula.  It holds at every angle; a zero omega row has
-    cos 1, sin 0 and axis 0.  cross, axis and out are rows of (3, rows) arrays
-    or dicts of the rows in axes; out may be states.T.  trig is (cos, sin) on
+    cos 1, sin 0 and axis 0.  cross and axis are (3, rows) arrays, and out is
+    one, a dict of the rows in axes, or states.T.  trig is (cos, sin) on
     the rows of states, and scratch two row buffers, the second of which may
     be sin."""
     cos, sin = trig
@@ -402,8 +400,9 @@ def _simulate_pairs(
     dt: float,
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """simulate for every (profile, density) pair in one pass: the pairs'
-    states are stacked, so each numpy call serves all of them.  Returns the
-    sample times, one value array per pair and the stacked final states."""
+    states are stacked, so each numpy call serves all of them.  A segment
+    sweeps them a node block at a time.  Returns the sample times, one value
+    array per pair and the stacked final states."""
     if not dt > 0:  # NaN fails too
         raise ValueError("dt must be positive")
     total = schedule.total_duration
@@ -420,58 +419,56 @@ def _simulate_pairs(
     phi_eval = compile_phi(phi)
     axes = read_axes(phi)
     bases = np.array([grid.weights * density.values for _, density in pairs])
-    values = [[] for _ in pairs]
-
-    def y(block: np.ndarray) -> None:
-        # block: states of one sample after another, each pair's rows in turn
-        dots = row_dots(phi_eval(block).reshape(-1, *bases.shape), bases)
-        for column, v in zip(dots.T, values):
-            v.extend(column.tolist())
-
-    sigmas = grid.nodes if len(pairs) == 1 else np.tile(grid.nodes, (len(pairs), 1))
+    values = np.empty((len(pairs), len(times)))
     # the one working copy, rotated in place at each segment end
     states = np.concatenate([profile.states for profile, _ in pairs])
-    rows = len(states)
-    m = max(1, _BLOCK // rows)  # samples per evaluation of phi
+    n = grid.size
+    stacked = states.reshape(len(pairs), n, 3)
+    g = len(pairs) if n <= _DOT_CHUNK else 1  # pairs per node block
+    sigmas = grid.nodes if g == 1 else np.tile(grid.nodes, (g, 1))
+    # (pairs, nodes) blocks: all rows if a pair fits one dot chunk, else each chunk
+    blocks = [
+        (slice(p, p + g), slice(lo, lo + _DOT_CHUNK))
+        for p in range(0, len(pairs), g)
+        for lo in range(0, n, _DOT_CHUNK)
+    ]
 
-    def sample(durations: list[float], u: tuple[float, float]) -> None:
-        # the segment's norms, dot products, and cross rows and axis columns
-        # of the coordinates phi reads, set up a node block at a time
-        norms, dot = np.empty(rows), np.empty(rows)
-        cross = {d: np.empty(rows) for d in axes}
-        axis = {d: np.empty(rows) for d in axes}
-        for lo in range(0, rows, _NODE_BLOCK):
-            block = slice(lo, lo + _NODE_BLOCK)
-            plan = RotationPlan(segment_axis(sigmas[block], u))
-            c, dot[block] = plan.bind(states[block], axes)
-            norms[block] = plan.norms
-            for d in axes:
-                cross[d][block], axis[d][block] = c[d], plan.axis[:, d]
-            del c, plan  # before the next block's
+    def y(block, samples: np.ndarray, cols: slice) -> None:
+        # samples: the block's rows for one sample after another; a value is
+        # its pair's sum over its dot chunks, added in order as row_dots does
+        (ps, ns), base = block, bases[block]
+        dots = row_dots(phi_eval(samples).reshape(-1, *base.shape), base).T
+        values[ps, cols] = values[ps, cols] + dots if ns.start else dots
+
+    def sweep(block, durations: list[float], i: int, u: tuple[float, float], tau: float):
+        # one set-up of the block serves every sample of the segment, taken
+        # from column i on, and the in-place rotation to the segment end
+        x = stacked[block].reshape(-1, 3)  # a view of the block's rows
+        rows = len(x)
+        plan = RotationPlan(segment_axis(sigmas[block[1].start :][:rows], u))
+        cross, dot = plan.bind(x)
+        axis = plan.axis.T
         work = np.empty((3, rows))  # a scratch row, then cos and sin
-        buf = np.empty((len(axes), m * rows))  # the coordinates phi reads
+        m = max(1, _BLOCK // rows)  # samples per evaluation of phi
+        buf = np.empty((len(axes), min(m, len(durations)) * rows))
         for lo in range(0, len(durations), m):
             chunk = durations[lo : lo + m]
             out = buf[:, : len(chunk) * rows]
-            for j, tau in enumerate(chunk):
-                cols = dict(zip(axes, out[:, j * rows : (j + 1) * rows]))
-                trig = _angles(norms, tau, work[1:])
-                _write(states, cross, axis, dot, trig, axes, cols, (work[0], work[2]))
-            y(out.T)
+            for s, t in enumerate(chunk):
+                cols = dict(zip(axes, out[:, s * rows : (s + 1) * rows]))
+                _write(x, cross, axis, dot, _angles(plan.norms, t, work[1:]), axes, cols, work[::2])
+            y(block, out.T, slice(i + lo, i + lo + len(chunk)))
+        _write(x, cross, axis, dot, _angles(plan.norms, tau, work[1:]), range(3), x.T, work[::2])
 
-    y(states)  # t = 0, the one sample of an empty schedule
+    for block in blocks:  # t = 0, the one sample of an empty schedule
+        y(block, stacked[block].reshape(-1, 3), slice(0, 1))
     i = 1
     for k, (tau, u1, u2) in enumerate(schedule.segments):
         j = bisect_right(times, boundaries[k + 1] + slack)
-        if j > i:
-            sample([t - boundaries[k] for t in times[i:j]], (u1, u2))
+        for block in blocks:
+            sweep(block, [t - boundaries[k] for t in times[i:j]], i, (u1, u2), tau)
         i = j
-        for lo in range(0, rows, _NODE_BLOCK):  # in place, a node block at a time
-            block = states[lo : lo + _NODE_BLOCK]
-            plan = RotationPlan(segment_axis(sigmas[lo : lo + _NODE_BLOCK], (u1, u2)), tau)
-            rotate_planned(block, plan, range(3), block.T)
-            del plan  # before the next block's
-    return np.array(times), [np.array(v) for v in values], states
+    return np.array(times), list(values), states
 
 
 @dataclass(frozen=True)

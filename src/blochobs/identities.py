@@ -233,7 +233,10 @@ def assoc_legendre(n: int, k: int, t: float) -> float:
     num, den = _rodrigues_ratio(n, k, t)
     if k != 0 and t in (-1.0, 1.0):
         return 0.0
-    return (-num if k % 2 else num) / den * (1 - t * t) ** (k / 2)
+    # num / den alone leaves the float range from n = 151 at k = n: a scale by
+    # 2^-e, undone after the factor, is exact, and e is 0 below 2^1000
+    e = max(0, abs(num).bit_length() - den.bit_length() - 1000)
+    return math.ldexp((-num if k % 2 else num) / (den << e) * (1 - t * t) ** (k / 2), e)
 
 
 def spherical_harmonic(n: int, k: int, theta: float, phi: float) -> complex:

@@ -163,6 +163,27 @@ def test_runs_pinned_sha256(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of simulate's outputs on a 91 x 91 grid, whose 8,281 nodes span two
+# dot chunks, recorded while every segment was still set up over all nodes
+# at once and set up again for its end rotation.
+SIMULATE_SHA256 = {
+    "trace.csv": "d2fb1d173a4f17b901e7238451cadcc0161868d8e7ae10d96f71e79bb5349721",
+    "profile.csv": "be5d4113f83a2160967f6197afc3fec66505f6a2c71088ccf3e4bb5bcdc97ffa",
+}
+
+
+def test_simulate_pinned_sha256(tmp_path):
+    schedule = [[0.3, 1.0, -0.5], [0.25, -0.7, 1.9], [0.4, -1.1, 0.6], [0.2, 0.0, 0.0], [0.35, 1.3, 0.8]]
+    cfg = base_config(
+        grid={"n1": 91, "n2": 91}, phi={"degree": 2, "named": "x1x2"}, schedule=schedule, dt=0.01, **TRUTH
+    )
+    path = write_config(tmp_path, cfg)
+    args = ["--out", str(tmp_path / "trace.csv"), "--profile-out", str(tmp_path / "profile.csv")]
+    assert main(["simulate", "--config", path] + args) == 0
+    for name, digest in SIMULATE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest
+
+
 def test_identities_usage_error():
     assert main(["identities", "--degree", "0"]) == 2
 

@@ -717,12 +717,16 @@ def test_simulate_matches_sequential_reference(n1, n2, dt, phi):
 
 @pytest.mark.parametrize("phi", SEQ_PHIS, ids=SEQ_IDS)
 @pytest.mark.parametrize(
-    "n1, n2", [(1, 1), (3, 5), (11, 13), (64, 65), (71, 73)], ids=["1x1", "3x5", "11x13", "64x65", "71x73"]
+    "n1, n2",
+    [(1, 1), (3, 5), (11, 13), (64, 65), (71, 73), (91, 91)],
+    ids=["1x1", "3x5", "11x13", "64x65", "71x73", "91x91"],
 )
 def test_equivalence_matches_sequential_reference(n1, n2, phi):
     """Two stacked pairs (3 samples per batch on the 11 x 13 grid, over
-    10,000 rows on the 71 x 73 grid) give each pair the sequential sampler's
-    values and final states, and output_equiv_test its gaps between them."""
+    10,000 rows on the 71 x 73 grid, and 8,281 nodes per pair on the 91 x 91
+    grid, so two dot chunks per pair, the second of 89 nodes) give each pair
+    the sequential sampler's values and final states, and output_equiv_test
+    its gaps between them."""
     grid = make_grid(SYM_BOX, n1, n2)
     pair_a = (
         angles_profile(grid, (0.8, 0.5, 0.3), (0.2, 0.9, -0.4)),
@@ -743,15 +747,23 @@ def test_equivalence_matches_sequential_reference(n1, n2, phi):
     assert got == _equiv_test_reference(pair_a, pair_b, grid, phi, trials=2, seed=3, tol=1e-9)
 
 
-@pytest.mark.parametrize("phi, bound", [(X3, 128), (X1 * X2, 154)], ids=["x3", "x1x2"])
-def test_simulate_peak_memory_per_node(phi, bound):
-    """simulate keeps per segment only what its samples read.  Its traced peak
-    on a 128 x 128 grid is 116 (x3) and 140 (x1x2) bytes per node; the bound
-    allows 10% more.  Holding the segment's full omega, axis and cross arrays
-    and a 3-coordinate sample buffer took 197 for both."""
+@pytest.mark.parametrize(
+    "phi, n, bound",
+    [(X3, 128, 128), (X1 * X2, 128, 154), (X3, 256, 52), (X1 * X2, 256, 53)],
+    ids=["x3", "x1x2", "x3-256", "x1x2-256"],
+)
+def test_simulate_peak_memory_per_node(phi, n, bound):
+    """simulate keeps per segment only one dot chunk's set-up, so its peak
+    per node falls as the grid grows.  Its traced peak is 92 (x3) and 95
+    (x1x2) bytes per node on a 128 x 128 grid, and 47 and 48 on a 256 x 256
+    grid; the 256 x 256 bounds allow 10% more.  Keeping the set-up over all
+    nodes took 116 and 140 at 128 x 128, and 113 and 137 at 256 x 256; the
+    128 x 128 bounds allow 10% more than that.  Holding the segment's full
+    omega, axis and cross arrays and a 3-coordinate sample buffer took 197
+    for both."""
     import tracemalloc
 
-    grid = make_grid(BOX, 128, 128)
+    grid = make_grid(BOX, n, n)
     profile = angles_profile(grid, (0.8, 0.5, 0.3), (0.2, 0.9, -0.4))
     density = gaussian_density(grid, (0.5, 1.0), (0.6, 0.6))
     rng = np.random.default_rng(0)
@@ -924,9 +936,11 @@ def test_evolve_profile_matches_successive_rotations():
 
 
 def test_simulate_sets_up_each_segment_once(monkeypatch):
-    """One rotation set-up per segment, not one per sample: 5 segments and
-    about 60 samples give 5 set-ups and 5 segment-end rotations, each planned
-    a node block at a time (in one block, and in blocks of 4, 4 and 1)."""
+    """One rotation set-up per node block and segment, not one per sample,
+    and none for the segment end, which rotates from the same set-up: 5
+    segments and about 60 samples give 5 set-ups per block, all without a
+    duration, in one block of the 9 nodes, and with dot chunks of 4 nodes in
+    blocks of 4, 4 and 1."""
     grid = make_grid(BOX, 3, 3)
     profile = angles_profile(grid, (0.4, 0.3, 0.2), (0.1, 0.5, -0.3))
     schedule = ControlSchedule(
@@ -940,15 +954,12 @@ def test_simulate_sets_up_each_segment_once(monkeypatch):
         return plan(omega, tau)
 
     monkeypatch.setattr(ensemble, "RotationPlan", counting)
-    for sizes in ([grid.size], [4, 4, 1]):
-        monkeypatch.setattr(ensemble, "_NODE_BLOCK", sizes[0])
+    for chunk, sizes in ((ensemble._DOT_CHUNK, [grid.size]), (4, [4, 4, 1])):
+        monkeypatch.setattr(ensemble, "_DOT_CHUNK", chunk)
         plans.clear()
         trace = simulate(profile, grid, uniform_density(grid), schedule, X3, dt=0.025)
         assert len(trace.times) > 60
-        expected = []
-        for tau, _, _ in schedule.segments:
-            expected += [(size, None) for size in sizes] + [(size, tau) for size in sizes]
-        assert plans == expected
+        assert plans == [(size, None) for size in sizes] * len(schedule.segments)
 
 
 def _write_csv_per_row(path, header, rows):

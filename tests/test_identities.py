@@ -232,6 +232,38 @@ def test_assoc_legendre_low_orders():
     assert assoc_legendre(2, 2, t) == pytest.approx(3 * (1 - t * t), abs=1e-14)
 
 
+@pytest.mark.parametrize("n, t", [(151, 0.5), (151, -0.3), (200, 0.99)])
+def test_assoc_legendre_at_top_order_beyond_float_ratio(n, t):
+    """P_n^n(t) = (-1)^n (2n-1)!! (1-t^2)^(n/2) fits a float here although
+    its derivative ratio does not; it used to raise OverflowError.  Checked
+    through its square, which is exact as a Fraction; the float 1 - t*t,
+    raised to the power n/2, leaves about 1e-13 at t = 0.99."""
+    got = assoc_legendre(n, n, t)
+    double_factorial = math.prod(range(1, 2 * n, 2))
+    exact_square = Fraction(double_factorial) ** 2 * (1 - Fraction(t) ** 2) ** n
+    assert (got < 0) == (n % 2 == 1)
+    assert abs(Fraction(got) ** 2 / exact_square - 1) < 1e-12
+
+
+def test_assoc_legendre_beyond_float_range_raises():
+    with pytest.raises(OverflowError):
+        assoc_legendre(200, 200, 0.5)  # about 1e421
+
+
+def test_assoc_legendre_bits_unchanged_up_to_degree_150():
+    """The power-of-two pre-scale changes no value that the one division
+    num / den, then the factor, already gave; at n = 149 and 150 with
+    k >= n - 1 the ratio passes 2^1000, so the scale is in use."""
+    from blochobs.identities import _rodrigues_ratio
+
+    for n in (0, 1, 2, 7, 30, 64, 101, 149, 150):
+        for k in sorted({-n, -n // 2, 0, min(1, n), n // 3, max(n - 1, 0), n}):
+            for t in (-0.97, -0.3, 0.0, 0.5, 0.999):
+                num, den = _rodrigues_ratio(n, k, t)
+                expected = (-num if k % 2 else num) / den * (1 - t * t) ** (k / 2)
+                assert assoc_legendre(n, k, t).hex() == expected.hex()
+
+
 def test_assoc_legendre_negative_order_symmetry():
     for n in range(1, 5):
         for k in range(1, n + 1):
