@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -229,14 +230,33 @@ def assoc_legendre(n: int, k: int, t: float) -> float:
     The derivative and its factor (-1)^k / (2^n n!) are evaluated exactly at
     the float t and rounded once: summed in floats, the alternating terms
     leave a roundoff that grows past 1e-10 in the addition theorem from n = 10.
+    Where that ratio or the factor (1 - t^2)^(k/2) is not a normal float, the
+    factor is folded into it exactly, so only a value past 1.8e308 raises.
     """
     num, den = _rodrigues_ratio(n, k, t)
     if k != 0 and t in (-1.0, 1.0):
         return 0.0
-    # num / den alone leaves the float range from n = 151 at k = n: a scale by
-    # 2^-e, undone after the factor, is exact, and e is 0 below 2^1000
-    e = max(0, abs(num).bit_length() - den.bit_length() - 1000)
-    return math.ldexp((-num if k % 2 else num) / (den << e) * (1 - t * t) ** (k / 2), e)
+    try:
+        ratio, factor = (-num if k % 2 else num) / den, (1 - t * t) ** (k / 2)
+    except OverflowError:  # num / den alone, from n = 151 at k = n
+        ratio = factor = 0.0
+    if num == 0 or min(abs(ratio), factor) >= sys.float_info.min:
+        return ratio * factor
+    # a part left the normal range, though the value may not: fold the factor,
+    # squared, into the exact ratio and round its square root once
+    rise, fall = _sine_power(t, k)
+    top, bottom = num * num * rise, den * den * fall
+    s = 66 - (top.bit_length() - bottom.bit_length()) // 2  # the root gets 64+ bits
+    root = math.isqrt((top << 2 * s) // bottom if s >= 0 else top // (bottom << -2 * s))
+    magnitude = math.ldexp(root, -s)
+    return -magnitude if (num < 0) != (k % 2 == 1) else magnitude
+
+
+def _sine_power(t: float, k: int) -> tuple[int, int]:
+    """Integers rise, fall with rise / fall = (1 - t^2)^k at the float t, exactly."""
+    p, q = t.as_integer_ratio()
+    rise, fall = (q * q - p * p) ** abs(k), (q * q) ** abs(k)
+    return (fall, rise) if k < 0 else (rise, fall)
 
 
 def spherical_harmonic(n: int, k: int, theta: float, phi: float) -> complex:
@@ -249,10 +269,7 @@ def spherical_harmonic(n: int, k: int, theta: float, phi: float) -> complex:
     num, den = _rodrigues_ratio(n, k, t)
     if k != 0 and t in (-1.0, 1.0):
         return 0j
-    p, q = t.as_integer_ratio()
-    rise, fall = (q * q - p * p) ** abs(k), (q * q) ** abs(k)  # (1 - t^2)^|k|
-    if k < 0:
-        rise, fall = fall, rise
+    rise, fall = _sine_power(t, k)
     top = (2 * n + 1) * factorial(n - k) * num * num * rise
     bottom = factorial(n + k) * den * den * fall
     magnitude = math.sqrt(top / bottom / (4 * math.pi))

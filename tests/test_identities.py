@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -232,12 +233,15 @@ def test_assoc_legendre_low_orders():
     assert assoc_legendre(2, 2, t) == pytest.approx(3 * (1 - t * t), abs=1e-14)
 
 
-@pytest.mark.parametrize("n, t", [(151, 0.5), (151, -0.3), (200, 0.99)])
+@pytest.mark.parametrize(
+    "n, t", [(151, 0.5), (151, -0.3), (200, 0.99), (300, 0.999), (150, 0.99999)]
+)
 def test_assoc_legendre_at_top_order_beyond_float_ratio(n, t):
     """P_n^n(t) = (-1)^n (2n-1)!! (1-t^2)^(n/2) fits a float here although
-    its derivative ratio does not; it used to raise OverflowError.  Checked
-    through its square, which is exact as a Fraction; the float 1 - t*t,
-    raised to the power n/2, leaves about 1e-13 at t = 0.99."""
+    its derivative ratio (n >= 151) or its factor (1-t^2)^(n/2) (at 300,
+    0.999 both: about 3e298, and at 150, 0.99999: about 1e-46) does not; it
+    used to raise OverflowError or return 0.0.  Checked through its square,
+    which is exact as a Fraction."""
     got = assoc_legendre(n, n, t)
     double_factorial = math.prod(range(1, 2 * n, 2))
     exact_square = Fraction(double_factorial) ** 2 * (1 - Fraction(t) ** 2) ** n
@@ -251,17 +255,28 @@ def test_assoc_legendre_beyond_float_range_raises():
 
 
 def test_assoc_legendre_bits_unchanged_up_to_degree_150():
-    """The power-of-two pre-scale changes no value that the one division
-    num / den, then the factor, already gave; at n = 149 and 150 with
-    k >= n - 1 the ratio passes 2^1000, so the scale is in use."""
+    """Where num / den and the factor (1-t^2)^(k/2) are both normal floats,
+    the value is their product, bit for bit as before.  Elsewhere on this grid
+    (k <= -75 from n = 101) num / den underflowed, which left a relative error
+    up to 5e-10, or 0.0 in place of 5.8e-234 at (150, -75, 0.999); now the
+    value is within 1e-15, or one subnormal step, of the exact one."""
     from blochobs.identities import _rodrigues_ratio
 
+    step, eps = Fraction(math.ulp(0.0)), Fraction(1, 10**15)
     for n in (0, 1, 2, 7, 30, 64, 101, 149, 150):
         for k in sorted({-n, -n // 2, 0, min(1, n), n // 3, max(n - 1, 0), n}):
             for t in (-0.97, -0.3, 0.0, 0.5, 0.999):
                 num, den = _rodrigues_ratio(n, k, t)
-                expected = (-num if k % 2 else num) / den * (1 - t * t) ** (k / 2)
-                assert assoc_legendre(n, k, t).hex() == expected.hex()
+                got = assoc_legendre(n, k, t)
+                ratio, factor = (-num if k % 2 else num) / den, (1 - t * t) ** (k / 2)
+                if num == 0 or min(abs(ratio), factor) >= sys.float_info.min:
+                    assert got.hex() == (ratio * factor).hex()
+                    continue
+                exact_square = Fraction(num, den) ** 2 * (1 - Fraction(t) ** 2) ** k
+                size = abs(Fraction(got))
+                low, high = max(size * (1 - eps) - step, 0), size * (1 + eps) + step
+                assert low**2 <= exact_square <= high**2
+                assert got == 0 or (got < 0) == ((num < 0) != (k % 2 == 1))
 
 
 def test_assoc_legendre_negative_order_symmetry():
