@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -240,16 +239,14 @@ def assoc_legendre(n: int, k: int, t: float) -> float:
         ratio, factor = (-num if k % 2 else num) / den, (1 - t * t) ** (k / 2)
     except OverflowError:  # num / den alone, from n = 151 at k = n
         ratio = factor = 0.0
-    if num == 0 or min(abs(ratio), factor) >= sys.float_info.min:
+    if num == 0 or min(abs(ratio), factor) >= 2.0**-1022:  # both normal floats
         return ratio * factor
-    # a part left the normal range, though the value may not: fold the factor,
-    # squared, into the exact ratio and round its square root once
+    # else round the square root of the exact square, factor folded in, once
     rise, fall = _sine_power(t, k)
     top, bottom = num * num * rise, den * den * fall
     s = 66 - (top.bit_length() - bottom.bit_length()) // 2  # the root gets 64+ bits
     root = math.isqrt((top << 2 * s) // bottom if s >= 0 else top // (bottom << -2 * s))
-    magnitude = math.ldexp(root, -s)
-    return -magnitude if (num < 0) != (k % 2 == 1) else magnitude
+    return math.ldexp(root if (num < 0) == k % 2 else -root, -s)
 
 
 def _sine_power(t: float, k: int) -> tuple[int, int]:
