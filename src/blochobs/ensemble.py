@@ -24,10 +24,11 @@ import numpy as np
 
 from .polynomials import Poly
 
-# Node-samples per evaluation of phi in simulate, and node states per block of
-# the measured-moments prefix tree.  At 1024 a 256-node grid batches 4 samples
-# per numpy call (2 in equivalence, which stacks both pairs); 4096 ran no
-# faster there and raised the peak resident memory by about 0.3 MB.
+# Node-samples per evaluation of phi in simulate, node states per block of the
+# measured-moments prefix tree, and nodes per block of the fit's features.  At
+# 1024 a 256-node grid batches 4 samples per numpy call (2 in equivalence,
+# which stacks both pairs); 4096 ran no faster there and raised the peak
+# resident memory by about 0.3 MB.
 _BLOCK = 1024
 
 
@@ -68,14 +69,13 @@ def make_grid(box: ParameterBox, n1: int, n2: int) -> ParameterGrid:
     if n1 < 1 or n2 < 1:
         raise ValueError("need n1, n2 >= 1")
     x1, w1 = np.polynomial.legendre.leggauss(n1)
-    x2, w2 = np.polynomial.legendre.leggauss(n2)
-    s1 = box.a1 + (x1 + 1.0) * (box.b1 - box.a1) / 2.0
-    s2 = box.a2 + (x2 + 1.0) * (box.b2 - box.a2) / 2.0
-    w1 = w1 * (box.b1 - box.a1) / 2.0
-    w2 = w2 * (box.b2 - box.a2) / 2.0
+    x2, w2 = (x1, w1) if n2 == n1 else np.polynomial.legendre.leggauss(n2)
     # node i*n2 + j is (s1[i], s2[j]) with weight w1[i]*w2[j]
-    nodes = np.stack([np.repeat(s1, n2), np.tile(s2, n1)], axis=1)
-    weights = np.outer(w1, w2).ravel()
+    nodes = np.empty((n1, n2, 2))
+    nodes[:, :, 0] = (box.a1 + (x1 + 1.0) * (box.b1 - box.a1) / 2.0)[:, None]
+    nodes[:, :, 1] = box.a2 + (x2 + 1.0) * (box.b2 - box.a2) / 2.0
+    nodes = nodes.reshape(n1 * n2, 2)
+    weights = np.outer(w1 * (box.b1 - box.a1) / 2.0, w2 * (box.b2 - box.a2) / 2.0).ravel()
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return ParameterGrid(box, nodes, weights, (n1, n2))
@@ -105,9 +105,18 @@ def gaussian_density(
     w1, w2 = widths
     if w1 <= 0 or w2 <= 0 or amplitude <= 0:
         raise ValueError("widths and amplitude must be positive")
-    d1 = (grid.nodes[:, 0] - c1) / w1
-    d2 = (grid.nodes[:, 1] - c2) / w2
-    return Density(amplitude * np.exp(-0.5 * (d1 * d1 + d2 * d2)))
+    # amplitude * exp(-0.5 * (d1 * d1 + d2 * d2)) in two node arrays
+    d1 = np.subtract(grid.nodes[:, 0], c1)
+    d1 /= w1
+    d1 *= d1
+    d2 = np.subtract(grid.nodes[:, 1], c2)
+    d2 /= w2
+    d2 *= d2
+    d1 += d2
+    d1 *= -0.5
+    np.exp(d1, out=d1)
+    d1 *= amplitude
+    return Density(d1)
 
 
 def table_density(grid: ParameterGrid, values: Sequence[float]) -> Density:
@@ -151,26 +160,37 @@ def angles_profile(
 
     theta(sigma) = t0 + t1 sigma1 + t2 sigma2 and likewise for phi.
     """
-    t0, t1, t2 = theta_coeffs
-    p0, p1, p2 = phi_coeffs
-    theta = t0 + t1 * grid.nodes[:, 0] + t2 * grid.nodes[:, 1]
-    phi = p0 + p1 * grid.nodes[:, 0] + p2 * grid.nodes[:, 1]
-    states = np.stack(
-        [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)],
-        axis=1,
-    )
+    s1, s2 = grid.nodes.T
+    scratch = np.empty(grid.size)
+
+    def affine(c0, c1, c2):  # (c0 + c1 sigma1) + c2 sigma2
+        out = np.multiply(s1, c1)
+        out += c0
+        out += np.multiply(s2, c2, out=scratch)
+        return out
+
+    theta = affine(*theta_coeffs)
+    phi = affine(*phi_coeffs)
+    # sin theta cos phi, sin theta sin phi, cos theta; the trig functions
+    # write contiguous arrays, and only the products go into the columns
+    states = np.empty((grid.size, 3))
+    states[:, 2] = np.cos(theta, out=scratch)
+    np.sin(theta, out=theta)
+    np.multiply(theta, np.cos(phi, out=scratch), out=states[:, 0])
+    np.multiply(theta, np.sin(phi, out=phi), out=states[:, 1])
     return Profile(states)
 
 
 def table_profile(grid: ParameterGrid, states: Sequence[Sequence[float]]) -> Profile:
     """Build a profile from explicit rows, renormalizing mild float drift."""
-    arr = np.asarray(states, dtype=float)
+    arr = np.array(states, dtype=float)  # a copy: normalized in place
     if arr.shape != (grid.size, 3):
         raise ValueError(f"expected {grid.size} states of dimension 3")
     norms = np.linalg.norm(arr, axis=1)
     if not np.all(np.abs(norms - 1.0) <= 1e-6):  # NaN rows fail too
         raise ValueError("profile states must be unit vectors (within 1e-6)")
-    profile = Profile(arr / norms[:, None])
+    arr /= norms[:, None]
+    profile = Profile(arr)
     validate_profile(profile)
     return profile
 

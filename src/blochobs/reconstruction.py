@@ -82,7 +82,10 @@ CONSISTENCY_TOL = 1e-5
 
 def kappa_weights(kappas: Sequence[KappaSignature], nodes: np.ndarray) -> np.ndarray:
     """sigma1^k1 sigma2^k2, one row per signature and one column per node."""
-    return np.array([nodes[:, 0] ** sig.k1 * nodes[:, 1] ** sig.k2 for sig in kappas])
+    weights = np.empty((len(kappas), len(nodes)))
+    for row, sig in zip(weights, kappas):
+        np.multiply(nodes[:, 0] ** sig.k1, nodes[:, 1] ** sig.k2, out=row)
+    return weights
 
 
 @dataclass(frozen=True)
@@ -122,9 +125,11 @@ def oracle_psi_samples(
     """psi_i on the grid nodes, one row per basis element, from the hidden
     truth and the kappa weights (``kappa_weights``) of the basis words."""
     profile, density = truth
-    return np.array(
-        [k * compile_phi(p)(profile.states) * density.values for p, k in zip(basis_polys, kexp)]
-    )
+    psi = np.empty((len(basis_polys), len(density.values)))
+    for row, p, k in zip(psi, basis_polys, kexp):
+        np.multiply(k, compile_phi(p)(profile.states), out=row)
+        row *= density.values
+    return psi
 
 
 def feature_pairs(D: int) -> list[tuple[int, int]]:
@@ -401,13 +406,27 @@ def _feature_basis(box: ParameterBox, D: int) -> FeatureBasis:
 
 def fit_psi(moments: np.ndarray, grid: ParameterGrid, D: int) -> np.ndarray:
     """The fitted expansion of every psi_i, to degree D, on the grid nodes,
-    from row i of the moments.  Each row is its own matrix-vector product,
-    which a matrix-matrix one need not match bit for bit."""
+    from row i of the moments.
+
+    Each row's coefficients are solved once.  The raw features are then
+    evaluated one block of _BLOCK nodes at a time, for every row, so the
+    working set is one (_BLOCK, K) array, not (N, K).  Each row is its own
+    matrix-vector product per block, which a matrix-matrix one need not match
+    bit for bit.  Every block starts at a multiple of _BLOCK, so each node
+    gets the bits of one single-threaded product over the whole grid; and a
+    block stays below the size (about 4.6e5 matrix elements) from which
+    OpenBLAS splits a product over threads, as one over a 91 x 91 grid at
+    D = 12 does, so the bits do not depend on the thread count."""
     fb = _feature_basis(grid.box, D)
     if np.shape(moments)[1:] != (fb.size,):
         raise ValueError(f"moments need one column per feature up to D={D}, {fb.size} in all")
-    raw = fb.raw_values(grid.nodes)
-    return np.array([raw @ fb.solve(row, 0.0) for row in moments])
+    coeffs = [fb.solve(row, 0.0) for row in moments]
+    psi = np.empty((len(coeffs), grid.size))
+    for lo in range(0, grid.size, _BLOCK):
+        raw = fb.raw_values(grid.nodes[lo : lo + _BLOCK])
+        for row, c in zip(psi, coeffs):
+            row[lo : lo + _BLOCK] = raw @ c
+    return psi
 
 
 # --- pointwise recovery -----------------------------------------------------

@@ -954,9 +954,11 @@ def test_seeded_commands_do_not_import_numpy_random(tmp_path, command):
     assert (code, loaded) == ("0", "False"), proc.stderr
 
 
-# A grid of more than 10,000 nodes, where a BLAS dot over all of them splits
-# its sum over threads: each run is repeated under OPENBLAS_NUM_THREADS=1
-# and =2 in fresh interpreters.
+# Runs whose BLAS calls OpenBLAS would split over threads if they covered the
+# whole grid: a dot over more than 10,000 nodes (simulate at 110 x 110,
+# oracle-moments at 128 x 128), and the fit's matrix-vector product of the
+# (nodes, features) array, at 8,281 nodes and 91 features for D = 12.  Each
+# run is repeated under OPENBLAS_NUM_THREADS=1 and =2 in fresh interpreters.
 BLAS_THREAD_RUNS = {
     "simulate": (
         ["simulate"],
@@ -972,13 +974,26 @@ BLAS_THREAD_RUNS = {
             "reconstruction": {"D": 2},
         },
     ),
+    "oracle-moments-fit": (
+        ["reconstruct", "--mode", "oracle-moments"],
+        {
+            "box": {"a1": 0.0, "b1": 1.0, "a2": 0.5, "b2": 1.5},
+            "grid": {"n1": 91, "n2": 91},
+            "phi": {"degree": 1, "named": "x3"},
+            "truth": TRUTH,
+            "reconstruction": {"D": 12},
+        },
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(BLAS_THREAD_RUNS))
 def test_outputs_do_not_depend_on_blas_threads(tmp_path, name):
     """With whole-grid dots the simulate trace and the oracle-moments result
-    both changed bytes between one and two BLAS threads."""
+    both changed bytes between one and two BLAS threads.  So did the
+    91 x 91, D = 12 fit while it evaluated the features of every node in one
+    matrix-vector product; one product per block of 1,024 nodes stays on
+    one thread."""
     command, cfg = BLAS_THREAD_RUNS[name]
     argv = command[:1] + ["--config", write_config(tmp_path, cfg)] + command[1:]
     outputs = []

@@ -1023,3 +1023,73 @@ def test_row_dots_match_per_row_dot(k, rows):
         assert per_row.tobytes() == np.array(
             [[np.dot(x, y) for x, y in zip(sample, b[:2])] for sample in samples]
         ).tobytes()
+
+
+def _one_expression_grid(box, n1, n2):
+    """make_grid's nodes and weights as repeat/tile/stack built them."""
+    x1, w1 = np.polynomial.legendre.leggauss(n1)
+    x2, w2 = np.polynomial.legendre.leggauss(n2)
+    s1 = box.a1 + (x1 + 1.0) * (box.b1 - box.a1) / 2.0
+    s2 = box.a2 + (x2 + 1.0) * (box.b2 - box.a2) / 2.0
+    w1 = w1 * (box.b1 - box.a1) / 2.0
+    w2 = w2 * (box.b2 - box.a2) / 2.0
+    return np.stack([np.repeat(s1, n2), np.tile(s2, n1)], axis=1), np.outer(w1, w2).ravel()
+
+
+BUILDER_GRIDS = [(1, 1), (1, 4), (5, 3), (8, 8), (17, 23), (64, 48)]
+
+
+@pytest.mark.parametrize("box", [BOX, SYM_BOX], ids=["box", "sym-box"])
+@pytest.mark.parametrize("n1, n2", BUILDER_GRIDS, ids=[f"{a}x{b}" for a, b in BUILDER_GRIDS])
+def test_grid_density_and_profile_builders_match_one_expression_formulas(box, n1, n2):
+    """make_grid, gaussian_density, angles_profile and table_profile write
+    their results in place; each keeps the bits of the one-expression
+    formula it replaced, and table_profile leaves the caller's rows alone."""
+    grid = make_grid(box, n1, n2)
+    nodes, weights = _one_expression_grid(box, n1, n2)
+    assert grid.nodes.shape == nodes.shape and grid.weights.shape == weights.shape
+    assert grid.nodes.tobytes() == nodes.tobytes()
+    assert grid.weights.tobytes() == weights.tobytes()
+    assert not grid.nodes.flags.writeable and not grid.weights.flags.writeable
+    s1, s2 = nodes.T
+    for (c1, c2), (w1, w2), amplitude in [
+        ((0.5, 1.0), (0.6, 0.6), 1.0),
+        ((-0.3, 0.7), (0.25, 1.7), 2.5),
+    ]:
+        d1 = (s1 - c1) / w1
+        d2 = (s2 - c2) / w2
+        expected = amplitude * np.exp(-0.5 * (d1 * d1 + d2 * d2))
+        density = gaussian_density(grid, (c1, c2), (w1, w2), amplitude)
+        assert density.values.tobytes() == expected.tobytes()
+    for (t0, t1, t2), (p0, p1, p2) in [
+        ((0.8, 0.5, 0.3), (0.2, 0.9, -0.4)),
+        ((2.0, -1.3, 0.7), (-0.5, 3.1, 1.9)),
+    ]:
+        theta = t0 + t1 * s1 + t2 * s2
+        phi = p0 + p1 * s1 + p2 * s2
+        expected = np.stack(
+            [np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=1
+        )
+        profile = angles_profile(grid, (t0, t1, t2), (p0, p1, p2))
+        assert profile.states.tobytes() == expected.tobytes()
+    rows = expected * (1.0 + 1e-7 * np.sin(np.arange(grid.size)))[:, None]
+    given = rows.copy()
+    expected = rows / np.linalg.norm(rows, axis=1)[:, None]
+    assert table_profile(grid, given).states.tobytes() == expected.tobytes()
+    assert table_profile(grid, rows.tolist()).states.tobytes() == expected.tobytes()
+    assert given.tobytes() == rows.tobytes()
+
+
+def test_make_grid_builds_one_rule_per_distinct_size(monkeypatch):
+    """A square grid computes its Gauss-Legendre rule once."""
+    leggauss = np.polynomial.legendre.leggauss
+    sizes = []
+
+    def counted(n):
+        sizes.append(n)
+        return leggauss(n)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counted)
+    make_grid(BOX, 6, 6)
+    make_grid(BOX, 6, 4)
+    assert sizes == [6, 6, 4]

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ import pytest
 from blochobs.ensemble import (
     ParameterBox,
     angles_profile,
+    compile_phi,
     constant_profile,
     gaussian_density,
     make_grid,
@@ -54,6 +59,8 @@ from blochobs.representation import (
 )
 
 BOX = ParameterBox(0.0, 1.0, 0.5, 1.5)
+SYM_BOX = ParameterBox(-1.0, 1.0, 0.5, 1.5)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def smooth_truth(grid, widths=(0.6, 0.6)):
@@ -338,6 +345,68 @@ def test_fit_psi_rows_match_one_row_fits_bit_for_bit():
         assert single.tobytes() == fit.tobytes()
 
 
+# Run in a fresh interpreter on one BLAS thread: the one-shot product below
+# is one matrix-vector product over every node, which OpenBLAS splits over
+# threads on large enough grids (91 x 91 at D >= 10), and then its bits
+# depend on the thread count.
+_ONE_SHOT_FIT = """
+import sys
+import numpy as np
+from blochobs.ensemble import ParameterBox, make_grid
+from blochobs.reconstruction import _feature_basis, fit_psi
+
+box = ParameterBox(*map(float, sys.argv[1:]))
+rng = np.random.default_rng(0)
+for n1, n2 in ((7, 9), (33, 31), (91, 91), (128, 128)):
+    grid = make_grid(box, n1, n2)
+    for D in (0, 1, 2, 3, 5, 6, 8, 10, 12):
+        fb = _feature_basis(box, D)
+        moments = rng.standard_normal((3, fb.size))
+        raw = fb.raw_values(grid.nodes)
+        one_shot = np.array([raw @ fb.solve(row, 0.0) for row in moments])
+        if fit_psi(moments, grid, D).tobytes() != one_shot.tobytes():
+            print(f"{n1}x{n2} D={D}")
+"""
+
+
+@pytest.mark.parametrize("box", [BOX, SYM_BOX], ids=["box", "sym-box"])
+def test_fit_psi_blocks_match_one_shot_product_bit_for_bit(box):
+    """fit_psi evaluates the raw features one node block at a time; on one
+    BLAS thread every node keeps the bits of one product over all nodes, on
+    grids whose size is not a multiple of the block (7 x 9, 33 x 31,
+    91 x 91) and on one that is (128 x 128), at D from 0 to 12."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    bounds = [str(b) for b in (box.a1, box.b1, box.a2, box.b2)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_SHOT_FIT, *bounds],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "", f"cases that changed bits:\n{proc.stdout}"
+
+
+def test_fit_psi_evaluates_features_one_block_at_a_time(monkeypatch):
+    """The raw features are evaluated for at most _BLOCK nodes at a time, in
+    node order, once per block for all rows."""
+    grid = make_grid(BOX, 33, 40)
+    raw_values = reconstruction.FeatureBasis.raw_values
+    blocks = []
+
+    def counted(self, nodes):
+        blocks.append(nodes)
+        return raw_values(self, nodes)
+
+    monkeypatch.setattr(reconstruction.FeatureBasis, "raw_values", counted)
+    moments = np.random.default_rng(1).standard_normal((5, _feature_basis(BOX, 3).size))
+    assert fit_psi(moments, grid, 3).shape == (5, grid.size)
+    assert [len(b) for b in blocks] == [1024, 296]
+    assert np.concatenate(blocks).tobytes() == grid.nodes.tobytes()
+
+
 @pytest.mark.parametrize("shape", [(3, 9), (3, 11), (10,)])
 def test_fit_psi_rejects_moments_of_another_degree(shape):
     grid = make_grid(BOX, 4, 4)
@@ -362,7 +431,8 @@ def test_feature_pairs_order_is_shared(oracle_table):
 
 @pytest.mark.parametrize("mode", ["oracle-moments", "measured-moments"])
 def test_reconstruct_evaluates_features_once(monkeypatch, mode):
-    """All 2n+1 psi_i are fitted from one evaluation of the raw features."""
+    """All 2n+1 psi_i are fitted from one evaluation of the raw features per
+    node block, and a grid of at most _BLOCK nodes is one block."""
     grid = make_grid(BOX, 4, 4)
     profile, density = smooth_truth(grid)
     raw_values = reconstruction.FeatureBasis.raw_values
@@ -414,6 +484,49 @@ def test_reconstruct_fit_failure_names_the_fit_stage(monkeypatch, mode):
         _feature_basis.cache_clear()
     assert err.value.stage == "fit"
     assert isinstance(err.value.cause, ArithmeticError)
+
+
+@pytest.mark.parametrize("phi", [X3, X1 * X2, X1 * X2 * X3], ids=["x3", "x1x2", "x1x2x3"])
+@pytest.mark.parametrize("box", [BOX, SYM_BOX], ids=["box", "sym-box"])
+@pytest.mark.parametrize("n1, n2", [(1, 1), (5, 3), (17, 23)], ids=["1x1", "5x3", "17x23"])
+def test_kappa_weights_and_psi_samples_match_one_expression_formulas(phi, box, n1, n2):
+    """kappa_weights and oracle_psi_samples fill one preallocated array row
+    by row, with the bits of the list of rows they replaced."""
+    grid = make_grid(box, n1, n2)
+    profile, density = smooth_truth(grid)
+    words = word_basis_search(phi)
+    kappas = [kappa_of_word(w) for w in words]
+    kexp = kappa_weights(kappas, grid.nodes)
+    s1, s2 = grid.nodes.T
+    expected = np.array([s1**sig.k1 * s2**sig.k2 for sig in kappas])
+    assert kexp.shape == expected.shape and kexp.tobytes() == expected.tobytes()
+    polys = [apply_word(w, phi) for w in words]
+    psi = oracle_psi_samples((profile, density), polys, kexp)
+    expected = np.array(
+        [k * compile_phi(p)(profile.states) * density.values for p, k in zip(polys, kexp)]
+    )
+    assert psi.shape == expected.shape and psi.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("D", [6, 12])
+def test_reconstruct_peak_memory_per_node(D):
+    """fit_psi holds the raw features of one node block, not of the whole
+    grid, so the traced peak of an oracle-moments run no longer grows with
+    the number of features: 193 bytes per node at D = 6 and at D = 12 on a
+    256 x 256 grid, with the feature basis already built; the bound allows
+    10% more.  Evaluating the (N, K) features at once took 498 and 1,506."""
+    import tracemalloc
+
+    grid = make_grid(BOX, 256, 256)
+    profile, density = smooth_truth(grid)
+    _feature_basis(BOX, D)
+    tracemalloc.start()
+    try:
+        reconstruct(X3, grid, profile, density, ReconstructionConfig("oracle-moments", D=D))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / grid.size <= 213
 
 
 def test_gram_min_pivot_is_the_smallest_certified_pivot():
