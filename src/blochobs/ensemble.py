@@ -24,11 +24,10 @@ import numpy as np
 
 from .polynomials import Poly
 
-# Node-samples per evaluation of phi in simulate, node states per block of the
-# measured-moments prefix tree, and nodes per block of the fit's features.  At
-# 1024 a 256-node grid batches 4 samples per numpy call (2 in equivalence,
-# which stacks both pairs); 4096 ran no faster there and raised the peak
-# resident memory by about 0.3 MB.
+# Node-samples per evaluation of phi in simulate and node states per block of
+# the measured-moments prefix tree.  At 1024 a 256-node grid batches 4 samples
+# per numpy call (2 in equivalence, which stacks both pairs); 4096 ran no
+# faster there and raised the peak resident memory by about 0.3 MB.
 _BLOCK = 1024
 
 

@@ -138,17 +138,30 @@ def feature_pairs(D: int) -> list[tuple[int, int]]:
     return [(a, s - a) for s in range(D + 1) for a in range(s + 1)]
 
 
+def _axis_powers(grid: ParameterGrid, D: int):
+    """Rows sigma1^a (a <= D) over the n1 sigma1 values and sigma2^e (e = 0, 2,
+    .., 4D) over the n2 sigma2 values of make_grid's node i*n2 + j, and the
+    rows (a, a + 2b) of each feature m_xi^a m_zeta^b = sigma1^a sigma2^(2a+4b)."""
+    n2 = grid.shape[1]
+    a, b = np.array(feature_pairs(D)).T
+    p1 = grid.nodes[::n2, 0] ** np.arange(D + 1)[:, None]
+    p2 = grid.nodes[:n2, 1] ** np.arange(0, 4 * D + 1, 2)[:, None]
+    return p1, p2, (a, a + 2 * b)
+
+
+def _bilinear(x: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """out[m, r, s] = sum_i u[r, i] sum_j v[s, j] x[m, i, j], both sums by row_dots."""
+    inner = row_dots(x[:, :, None, :], v)
+    return row_dots(inner.transpose(0, 2, 1)[:, None], u[:, None, :])
+
+
 def oracle_moments(psi: np.ndarray, grid: ParameterGrid, D: int) -> np.ndarray:
     """Quadrature of m_xi^a m_zeta^b psi_i over the grid, from the psi samples
     of ``oracle_psi_samples``: row i per basis element, one column per
-    feature in ``feature_pairs(D)`` order."""
-    m_xi = grid.nodes[:, 0] * grid.nodes[:, 1] ** 2
-    m_zeta = grid.nodes[:, 1] ** 4
-    pairs = feature_pairs(D)
-    moments = np.empty((len(psi), len(pairs)))
-    for k, (a, b) in enumerate(pairs):
-        moments[:, k] = row_dots(m_xi**a * m_zeta**b * psi, grid.weights)
-    return moments
+    feature in ``feature_pairs(D)`` order, in O(N (3D + 2)): see _bilinear."""
+    p1, p2, (a, e) = _axis_powers(grid, D)
+    weighted = (psi * grid.weights).reshape(len(psi), *grid.shape)
+    return _bilinear(weighted, p1, p2)[:, a, e]
 
 
 @dataclass(frozen=True)
@@ -369,7 +382,6 @@ class FeatureBasis:
         exps = [(a, 2 * a + 4 * b) for a, b in self.pairs]
         gram = _feature_gram(box, exps)
         rows, pivots = certified_gram_schmidt(gram)
-        self._gram_float = np.array([[float(g) for g in r] for r in gram])
         self._orth = np.array(rows)
         self._sqrt_norms = np.sqrt(np.array(pivots))
         self.min_pivot = min(pivots)
@@ -378,9 +390,6 @@ class FeatureBasis:
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-    def gram_condition(self) -> float:
-        return float(np.linalg.cond(self._gram_float))
 
     def raw_values(self, nodes: np.ndarray) -> np.ndarray:
         values = nodes[:, 0][:, None] ** self._exps[:, 0][None, :]
@@ -394,7 +403,7 @@ class FeatureBasis:
         return self._orth.T @ (c / self._sqrt_norms)
 
     def fit_residual(self, weights: np.ndarray, raw_moments: np.ndarray) -> float:
-        lhs = self._gram_float @ weights
+        lhs = np.array(_feature_gram(self.box, self._exps.tolist()), dtype=float) @ weights
         scale = max(1.0, float(np.linalg.norm(raw_moments)))
         return float(np.linalg.norm(lhs - raw_moments)) / scale
 
@@ -406,27 +415,16 @@ def _feature_basis(box: ParameterBox, D: int) -> FeatureBasis:
 
 def fit_psi(moments: np.ndarray, grid: ParameterGrid, D: int) -> np.ndarray:
     """The fitted expansion of every psi_i, to degree D, on the grid nodes,
-    from row i of the moments.
-
-    Each row's coefficients are solved once.  The raw features are then
-    evaluated one block of _BLOCK nodes at a time, for every row, so the
-    working set is one (_BLOCK, K) array, not (N, K).  Each row is its own
-    matrix-vector product per block, which a matrix-matrix one need not match
-    bit for bit.  Every block starts at a multiple of _BLOCK, so each node
-    gets the bits of one single-threaded product over the whole grid; and a
-    block stays below the size (about 4.6e5 matrix elements) from which
-    OpenBLAS splits a product over threads, as one over a 91 x 91 grid at
-    D = 12 does, so the bits do not depend on the thread count."""
+    from row i of the moments: its coefficients, put at their axis powers'
+    rows [a, a + 2b], through the two sums of oracle_moments run back."""
     fb = _feature_basis(grid.box, D)
     if np.shape(moments)[1:] != (fb.size,):
         raise ValueError(f"moments need one column per feature up to D={D}, {fb.size} in all")
-    coeffs = [fb.solve(row, 0.0) for row in moments]
-    psi = np.empty((len(coeffs), grid.size))
-    for lo in range(0, grid.size, _BLOCK):
-        raw = fb.raw_values(grid.nodes[lo : lo + _BLOCK])
-        for row, c in zip(psi, coeffs):
-            row[lo : lo + _BLOCK] = raw @ c
-    return psi
+    p1, p2, (a, e) = _axis_powers(grid, D)
+    coeffs = np.zeros((len(moments), D + 1, 2 * D + 1))
+    for c, row in zip(coeffs, moments):
+        c[a, e] = fb.solve(row, 0.0)
+    return _bilinear(coeffs, p1.T, p2.T).reshape(len(moments), grid.size)
 
 
 # --- pointwise recovery -----------------------------------------------------
@@ -680,9 +678,7 @@ def reconstruct(
             moments = _stage("moments", oracle_moments, psi, grid, config.D)
     if config.mode != "oracle-psi":
         psi = _stage("fit", fit_psi, moments, grid, config.D)
-        fb = _feature_basis(grid.box, config.D)
-        diagnostics["gram_condition"] = fb.gram_condition()
-        diagnostics["gram_min_pivot"] = fb.min_pivot
+        diagnostics["gram_min_pivot"] = _feature_basis(grid.box, config.D).min_pivot
 
     density, defined = _stage("density", recover_density, psi, identity, kexp, config.rho_floor)
     undefined = np.flatnonzero(~defined).tolist()

@@ -74,7 +74,10 @@ def test_feature_basis_bit_identical_to_fraction_loop(box, D):
     # tobytes: a -0.0 where the loop gives 0.0 fails too.
     assert fb._orth.tobytes() == orth.tobytes()
     assert fb._sqrt_norms.tobytes() == np.sqrt(norms).tobytes()
-    assert fb._gram_float.tobytes() == np.array([[float(g) for g in r] for r in gram]).tobytes()
+    # fit_residual reads the float Gram matrix: zero for moments made with it.
+    weights = np.arange(1.0, fb.size + 1)
+    gram_float = np.array([[float(g) for g in r] for r in gram])
+    assert fb.fit_residual(weights, gram_float @ weights) == 0.0
 
 
 def test_hilbert_matrix_needs_a_doubling(monkeypatch):
