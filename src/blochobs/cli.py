@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -538,6 +539,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args) -> None:
+    """Before any work runs, raise the OSError that writing an output path
+    would for a path in a missing directory or naming a directory."""
+    for path in (getattr(args, name, None) for name in ("out", "profile_out", "report")):
+        if path and (os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or ".")):
+            open(path, "w").close()  # fails, with the error the write would give
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -545,6 +554,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_outputs(args)
         return args.fn(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

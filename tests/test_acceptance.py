@@ -212,6 +212,24 @@ def test_criterion_05_simulation_properties():
     )
 
 
+def test_criterion_05_exact_parity_and_self_pair():
+    """Criterion 5 allows a parity gap of 1e-12; it is exactly zero.  The
+    orbit points of -x are those of x negated, bit for bit, so an even phi
+    gives the same trace bits, and a pair tested against itself on a grid of
+    two dot chunks (91 x 91) has gap 0.0."""
+    grid = make_grid(BOX, 4, 4)
+    profile = angles_profile(grid, (0.7, 0.2, 0.1), (0.0, 0.9, 0.4))
+    dens = gaussian_density(grid, (0.5, 1.0), (0.5, 0.5))
+    schedule = ControlSchedule(((0.4, 1.2, -0.3), (0.3, -0.8, 0.9)))
+    tr_plus = simulate(profile, grid, dens, schedule, X1 * X2, dt=0.05)
+    tr_minus = simulate(Profile(-profile.states), grid, dens, schedule, X1 * X2, dt=0.05)
+    assert tr_plus.values.tobytes() == tr_minus.values.tobytes()
+    grid = make_grid(BOX, 91, 91)
+    pair = (angles_profile(grid, (0.8, 0.5, 0.3), (0.2, 0.9, -0.4)), gaussian_density(grid, (0.5, 1.0), (0.6, 0.6)))
+    verdict = output_equiv_test(pair, pair, grid, X1 * X2, trials=2, seed=4, tol=0.0)
+    assert (verdict.kind, verdict.gap) == ("equivalent-so-far", 0.0)
+
+
 def test_criterion_06_point_inversion():
     worst = 0.0
     for n in (1, 2, 3):

@@ -113,9 +113,9 @@ ANTIPODE = {
 # sha256 of the output bytes of small equivalence and measured-moments runs,
 # recorded before the two pairs of a trial shared one simulation pass and
 # before the prefix tree shared its rotation plans.  The equivalence pins
-# were re-recorded when the schedules came to be drawn from random.Random.  x3 is odd, so the
-# antipodal pair is distinguished; x1x2 is even, so it is equivalent so far,
-# here on a grid of 576 nodes, more than half a simulation block.  The
+# were re-recorded when the schedules came to be drawn from random.Random.
+# x3 is odd, so the antipodal pair is distinguished; x1x2 is even, so it is
+# equivalent so far, here on a grid of 576 nodes.  The
 # measured-moments pin was re-recorded when the ridge setting and three
 # diagnostics went: its bytes are the earlier run with "ridge": 0.0, less the
 # fit_residuals, identity_max_residual and gram_min_eigenvalue keys, plus
@@ -125,6 +125,9 @@ ANTIPODE = {
 # one separable sum over the sigma2 powers, then the sigma1 powers: their
 # floats moved at roundoff (2.8e-12 relative in the oracle-moments density,
 # 1.4e-16 on one measured-moments node), and the gram_condition key went.
+# The equivalence-x1x2 pin (was 2535640a...) was re-recorded when simulate
+# came to sample each segment from phi's Fourier rows on the node orbits: its
+# gap, roundoff between antipodal pairs, moved from 8.3e-17 to 1.7e-16.
 PINNED_RUNS = {
     "equivalence-x3": (
         ["equivalence"],
@@ -134,7 +137,7 @@ PINNED_RUNS = {
     "equivalence-x1x2": (
         ["equivalence"],
         {"phi": {"degree": 2, "named": "x1x2"}, "grid": 24},
-        "2535640a1f179e555180217f201ef69517a8ed7d8a9fb1ac4de48a8a385dbf30",
+        "836b6b6d2f790ced3c979f57e223a7b7c21290c993f976cc1ea517a4aad0daa0",
     ),
     "measured-moments-x3": (
         ["reconstruct", "--mode", "measured-moments"],
@@ -169,9 +172,12 @@ def test_runs_pinned_sha256(tmp_path, name):
 
 # sha256 of simulate's outputs on a 91 x 91 grid, whose 8,281 nodes span two
 # dot chunks, recorded while every segment was still set up over all nodes
-# at once and set up again for its end rotation.
+# at once and set up again for its end rotation.  trace.csv (was d2fb1d17...)
+# was re-recorded when each segment came to be sampled from phi's Fourier
+# rows on the node orbits: 114 of its 151 y(t > 0) moved, by at most 5.0e-16
+# of max |y|; the times, y(0) and profile.csv kept their bytes.
 SIMULATE_SHA256 = {
-    "trace.csv": "d2fb1d173a4f17b901e7238451cadcc0161868d8e7ae10d96f71e79bb5349721",
+    "trace.csv": "ebe126864b085b2d18c6299e0463529fea5d24fbb3d2c6720b9c33e94781bef4",
     "profile.csv": "be5d4113f83a2160967f6197afc3fec66505f6a2c71088ccf3e4bb5bcdc97ffa",
 }
 
@@ -1114,3 +1120,31 @@ def test_unwritable_output_path_exits_2(tmp_path, capsys, command, flag):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ") and str(bad) in err
+
+
+@pytest.mark.parametrize(
+    "command, outputs, bad",
+    [
+        (["simulate"], ["--out", "o/trace.csv"], ["--profile-out", "missing/p.csv"]),
+        (["simulate"], ["--profile-out", "o/p.csv"], ["--out", "o"]),
+        (["reconstruct", "--mode", "oracle-psi"], ["--out", "o/r.json"], ["--report", "missing/r.csv"]),
+        (["reconstruct", "--mode", "oracle-psi"], ["--out", "o/r.json"], ["--report", "o"]),
+    ],
+    ids=["simulate-missing-dir", "simulate-directory", "report-missing-dir", "report-directory"],
+)
+def test_bad_later_output_path_writes_nothing(tmp_path, capsys, command, outputs, bad):
+    """Every output path is checked before any work: a missing directory or
+    a directory as the path exits 2 with one error line, and the outputs
+    before it are not written either."""
+    (tmp_path / "o").mkdir()
+    common = {key: base_config()[key] for key in ("box", "grid", "phi")}
+    configs = {
+        "simulate": base_config(),
+        "reconstruct": dict(common, truth=TRUTH, reconstruction={"D": 0}),
+    }
+    config = write_config(tmp_path, configs[command[0]])
+    paths = [str(tmp_path / arg) if arg.startswith(("o", "missing")) else arg for arg in outputs + bad]
+    assert main(command + ["--config", config] + paths) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ") and paths[-1] in err
+    assert list((tmp_path / "o").iterdir()) == []
