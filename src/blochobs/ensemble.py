@@ -24,9 +24,6 @@ import numpy as np
 
 from .polynomials import Poly
 
-# Node states per block of the measured-moments prefix tree.
-_BLOCK = 1024
-
 
 @dataclass(frozen=True)
 class ParameterBox:
@@ -222,8 +219,9 @@ class OutputTrace:
 
 # Elements per partial sum of row_dots: a power of two below the length
 # (10,000 in OpenBLAS) from which a BLAS dot may split its sum over threads.
-# simulate sweeps larger grids a chunk at a time, so its working set is one
-# chunk's: a chunk's rotation set-up serves its samples and its segment end.
+# simulate sweeps larger grids a chunk at a time, each through the whole
+# schedule, so its working set is one chunk's: a chunk's rotation set-up
+# serves its samples and its segment end.
 _DOT_CHUNK = 8192
 
 # Lattice samples per direct cos and sin of the angle rows in simulate; the
@@ -260,7 +258,9 @@ class RotationPlan:
     """
 
     def __init__(self, omega: np.ndarray, tau: float | None = None):
-        self.norms = np.linalg.norm(omega, axis=1)
+        # np.linalg.norm's sum in its order, without its (M, 3) squares
+        w0, w1, w2 = omega.T
+        self.norms = np.sqrt((w0 * w0 + w1 * w1) + w2 * w2)
         self.axis = omega / np.where(self.norms == 0.0, 1.0, self.norms)[:, None]
         if tau is not None:
             self.trig = _angles(self.norms, tau, np.empty((2, len(omega))))
@@ -294,7 +294,8 @@ def _write(states, cross, axis, dot, trig, axes, out, scratch) -> None:
     cos 1, sin 0 and axis 0.  cross and axis are (3, rows) arrays, and out is
     one, a dict of the rows in axes, or states.T.  trig is (cos, sin) on
     the rows of states, or two columns of them, one out row per angle, and
-    scratch two buffers of out's row shape, the second of which may be sin."""
+    scratch two buffers of out's row shape, the second of which may be sin
+    or a row of cross: it is written only after their last read."""
     cos, sin = trig
     tmp, scale = scratch
     for d in axes:
@@ -421,15 +422,18 @@ def _simulate_pairs(
     phi: Poly,
     dt: float,
 ) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """simulate for every (profile, density) pair in one pass, a dot chunk of
-    nodes at a time.  Under a segment's control a node turns about a fixed
-    axis by the angle |omega| t, so phi on its orbit is a trigonometric
-    polynomial of degree d, phi's degree, fixed by its values at 2d + 1 orbit
-    points.  A chunk's set-up keeps their weighted Fourier rows and rotates
-    the chunk to the segment end; each lattice sample then steps the angle
-    rows e^(i m |omega| t), which the pairs share, and takes one row_dots.
-    t = 0 and the segment ends are phi of the states.  Returns the sample
-    times, one value array per pair and the stacked final states."""
+    """simulate for every (profile, density) pair in one pass, one dot chunk
+    of nodes at a time through the whole schedule.  Under a segment's control
+    a node turns about a fixed axis by the angle |omega| t, so phi on its
+    orbit is a trigonometric polynomial of degree d, phi's degree, fixed by
+    its values at 2d + 1 orbit points.  The first point is the segment start,
+    whose phi row the chunk keeps from t = 0 or the previous segment end, so
+    phi runs 2d + 1 times per node and segment.  A chunk's set-up keeps the
+    weighted Fourier rows and rotates the chunk to the segment end; each
+    lattice sample then steps the angle rows e^(i m |omega| t), which the
+    pairs share, and takes one row_dots.  Each chunk fills its own row of
+    values, added to the total in chunk order.  Returns the sample times, one
+    value array per pair and the stacked final states."""
     if not dt > 0:  # NaN fails too
         raise ValueError("dt must be positive")
     total = schedule.total_duration
@@ -443,6 +447,14 @@ def _simulate_pairs(
         samples.add(min(k * dt, total))
         k += 1
     times = sorted(samples)
+    # per segment: its control, duration and start, and its lattice and end
+    # columns, as index arrays: a chunk holds every segment's at once
+    segments, i = [], 1
+    for k, (tau, u1, u2) in enumerate(schedule.segments):
+        j = bisect_right(times, boundaries[k + 1] + slack)
+        cols, ends = np.arange(i, j), np.array(times[i:j]) == boundaries[k + 1]
+        segments.append(((u1, u2), tau, boundaries[k], cols[~ends], cols[ends]))
+        i = j
     phi_eval = compile_phi(phi)
     axes = read_axes(phi)
     degree = max((sum(exps) for exps, _ in phi.sorted_terms()), default=0)
@@ -453,93 +465,76 @@ def _simulate_pairs(
     turns = np.cos(angles[1:, None]), np.sin(angles[1:, None])
     harmonic = 2 / count * np.exp(1j * np.outer(angles, np.arange(1, degree + 1)))[..., None]
     sub = max(1, _DOT_CHUNK // count)  # nodes per orbit set-up
-    values = np.empty((len(pairs), len(times)))
-    # the one working copy, rotated in place at each segment end
-    states = np.concatenate([profile.states for profile, _ in pairs])
-    stacked = states.reshape(len(pairs), grid.size, 3)
 
-    def weight(p: int, ns: slice) -> np.ndarray:
-        return grid.weights[ns] * pairs[p][1].values[ns]
-
-    def add(ns: slice, cols, dots: np.ndarray) -> None:
-        # a value is its pair's sum over its dot chunks, added in order
-        values[:, cols] = values[:, cols] + dots if ns.start else dots
-
-    def now(ns: slice, cols: list[int]) -> None:  # phi of the states
-        dots = [row_dots(phi_eval(x), weight(p, ns)) for p, x in enumerate(stacked[:, ns])]
-        add(ns, cols, np.array(dots)[:, None])
-
-    def orbit(x, cross, axis, dot, base, total, coef) -> None:
-        # phi at the orbit points of the states x, its sum over them (total)
-        # and the weighted rows A_m + i B_m (coef)
-        points = np.empty((len(axes), count, len(x)))
-        out = {}
-        for j, d in enumerate(axes):
-            points[j, 0], out[d] = x[:, d], points[j, 1:]
-        _write(x, cross, axis, dot, turns, axes, out, np.empty((2, count - 1, len(x))))
-        f = phi_eval(points.reshape(len(axes), count * len(x)).T).reshape(count, len(x))
-        np.sum(f, axis=0, out=total)
+    def orbit(x, f0, cross, axis, dot, base, coef) -> None:
+        # phi at the turned orbit points of the states x, whose own phi row
+        # is f0; f0 becomes the sum over all count points, and coef gains
+        # the weighted rows A_m + i B_m
+        points = np.empty((len(axes), count - 1, len(x)))
+        _write(x, cross, axis, dot, turns, axes, dict(zip(axes, points)), np.empty((2, count - 1, len(x))))
+        turned = phi_eval(points.reshape(len(axes), (count - 1) * len(x)).T)
+        del points  # before f, which would raise the set-up's peak
+        f = np.empty((count, len(x)))
+        f[0], f[1:] = f0, turned.reshape(count - 1, len(x))
+        np.sum(f, axis=0, out=f0)
         f *= base
         for fl, hl in zip(f, harmonic):
             coef += hl * fl
 
-    def fourier(ns: slice, u, tau: float):
+    def setup(x, f, base, nodes, u, tau: float):
         # the chunk's rows A_m + i B_m and A_0, set up on sub-blocks of at
         # most _DOT_CHUNK orbit points, then its rotation to the segment end
-        rows = ns.stop - ns.start
-        plan = RotationPlan(segment_axis(grid.nodes[ns], u))
+        rows = len(nodes)
+        plan = RotationPlan(segment_axis(nodes, u))
         axis = plan.axis.T
         coef = np.zeros((len(pairs), degree, rows), complex)
-        const = np.empty((len(pairs), 1))
-        for p, x in enumerate(stacked[:, ns]):
-            cross, dot = plan.bind(x)
-            base, total = weight(p, ns), np.empty(rows)
+        const = np.empty(len(pairs))
+        for p, (xp, fp, bp) in enumerate(zip(x, f, base)):
+            cross, dot = plan.bind(xp)
             for lo in range(0, rows, sub):
                 s = slice(lo, lo + sub)
-                orbit(x[s], cross[:, s], axis[:, s], dot[s], base[s], total[s], coef[p, :, s])
-            const[p] = row_dots(total, base) / count
+                orbit(xp[s], fp[s], cross[:, s], axis[:, s], dot[s], bp[s], coef[p, :, s])
+            const[p] = row_dots(fp, bp) / count
             if not p:  # past the set-up's peak
                 trig = _angles(plan.norms, tau, np.empty((2, rows)))
-            _write(x, cross, axis, dot, trig, range(3), x.T, (total, base))  # as scratch
+            _write(xp, cross, axis, dot, trig, range(3), xp.T, (fp, cross[0]))
         return plan.norms, coef.view(float).reshape(len(pairs), -1), const
 
-    def sweep(ns: slice, lattice: list[int], ends: list[int], u, tau: float, start: float):
-        # one set-up of the chunk serves its lattice samples and segment end
-        norms, coef, const = fourier(ns, u, tau)
-        now(ns, ends)
-        # e^(i m |omega| t) and its lattice step, m = 1..degree
-        z, step = np.empty((2, degree, len(norms)), complex)
-        work = np.empty(len(norms))
+    def cis(rot, angle) -> None:  # rot[m - 1] = e^(i m angle), m = 1..degree
+        np.cos(angle, out=rot.real[:1])
+        np.sin(angle, out=rot.imag[:1])
+        for m in range(1, degree):
+            np.multiply(rot[m - 1], rot[0], out=rot[m])
 
-        def seed(rot, t):
-            np.multiply(norms, t, out=work)
-            np.cos(work, out=rot.real[:1])
-            np.sin(work, out=rot.imag[:1])
-            for m in range(1, degree):
-                np.multiply(rot[m - 1], rot[0], out=rot[m])
-
-        seed(step, dt)
-        flat = z.view(float).ravel()
-        dots = np.empty((len(pairs), len(lattice)))
-        for q, c in enumerate(lattice):
-            if q % _RESEED:
-                z *= step
-            else:
-                seed(z, times[c] - start)
-            dots[:, q] = row_dots(coef, flat)
-        add(ns, lattice, dots + const)
-
-    chunks = [slice(lo, min(lo + _DOT_CHUNK, grid.size)) for lo in range(0, grid.size, _DOT_CHUNK)]
-    for ns in chunks:  # t = 0, the one sample of an empty schedule
-        now(ns, [0])
-    i = 1
-    for k, (tau, u1, u2) in enumerate(schedule.segments):
-        j = bisect_right(times, boundaries[k + 1] + slack)
-        lattice = [c for c in range(i, j) if times[c] != boundaries[k + 1]]
-        ends = [c for c in range(i, j) if times[c] == boundaries[k + 1]]
-        for ns in chunks:
-            sweep(ns, lattice, ends, (u1, u2), tau, boundaries[k])
-        i = j
+    # the one working copy, rotated in place at each segment end
+    states = np.concatenate([profile.states for profile, _ in pairs])
+    stacked = states.reshape(len(pairs), grid.size, 3)
+    for lo in range(0, grid.size, _DOT_CHUNK):
+        ns = slice(lo, lo + _DOT_CHUNK)
+        x = stacked[:, ns]
+        base = np.stack([grid.weights[ns] * density.values[ns] for _, density in pairs])
+        f = np.stack([phi_eval(xp) for xp in x])  # phi of the states
+        row = np.empty((len(pairs), len(times)))
+        row[:, 0] = row_dots(f, base)  # t = 0, the one sample of an empty schedule
+        for u, tau, start, lattice, ends in segments:
+            norms, coef, const = setup(x, f, base, grid.nodes[ns], u, tau)
+            for p, xp in enumerate(x):
+                f[p] = phi_eval(xp)
+            row[:, ends] = row_dots(f, base)[:, None]
+            # e^(i m |omega| t) and its lattice step, m = 1..degree
+            z, step = np.empty((2, degree, len(norms)), complex)
+            work = np.empty(len(norms))
+            cis(step, np.multiply(norms, dt, out=work))
+            flat = z.view(float).ravel()
+            for q, c in enumerate(lattice):
+                if q % _RESEED:
+                    z *= step
+                else:
+                    cis(z, np.multiply(norms, times[c] - start, out=work))
+                row[:, c] = row_dots(coef, flat) + const
+            del norms, coef, z, step, work, flat  # before the next set-up
+        # a value is its pair's sum over the dot chunks, added in order
+        values = values + row if lo else row
     return np.array(times), list(values), states
 
 

@@ -29,7 +29,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .ensemble import (
-    _BLOCK,
     Density,
     ParameterBox,
     ParameterGrid,
@@ -172,10 +171,9 @@ class OutputSimulator:
     grid: ParameterGrid
     density: Density
 
-    # Node states per block of output_tree (the ensemble's block size): the
-    # rows its segment plans are tiled to, and what one tree level holds of
-    # each segment at a time.
-    _BLOCK = _BLOCK
+    # Node states per block of output_tree: the rows its segment plans are
+    # tiled to, and what one tree level holds of each segment at a time.
+    _BLOCK = 1024
 
     def output_fn(self, phi: Poly) -> Callable[[Sequence[float], Sequence], float]:
         phi_eval = compile_phi(phi)

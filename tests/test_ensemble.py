@@ -855,13 +855,13 @@ def test_equivalence_matches_sequential_reference(n1, n2, phi):
 )
 def test_simulate_peak_memory_per_node(phi, n, bound):
     """simulate keeps per segment only one dot chunk's set-up, so its peak
-    per node falls as the grid grows.  Its traced peak is 92 (x3) and 95
-    (x1x2) bytes per node on a 128 x 128 grid, and 47 and 48 on a 256 x 256
-    grid; the 256 x 256 bounds allow 10% more.  Keeping the set-up over all
-    nodes took 116 and 140 at 128 x 128, and 113 and 137 at 256 x 256; the
-    128 x 128 bounds allow 10% more than that.  Holding the segment's full
-    omega, axis and cross arrays and a 3-coordinate sample buffer took 197
-    for both."""
+    per node falls as the grid grows.  Its traced peak is 88.8 (x3) and
+    103.5 (x1x2) bytes per node on a 128 x 128 grid, and 40.1 and 43.9 on a
+    256 x 256 grid; the 256 x 256 bounds allow 10% more than the 47 and 48
+    taken when they were set.  Keeping the set-up over all nodes took 116
+    and 140 at 128 x 128, and 113 and 137 at 256 x 256; the 128 x 128 bounds
+    allow 10% more than that.  Holding the segment's full omega, axis and
+    cross arrays and a 3-coordinate sample buffer took 197 for both."""
     import tracemalloc
 
     grid = make_grid(BOX, n, n)
@@ -883,20 +883,28 @@ def test_simulate_peak_memory_per_node(phi, n, bound):
     assert peak / grid.size <= bound
 
 
-@pytest.mark.parametrize("block", [None, 30], ids=["default-block", "block-30"])
+@pytest.mark.parametrize("block", [None, 30, 5], ids=["default-block", "block-30", "block-5"])
 def test_rotation_samples_match_calls(block, monkeypatch):
-    """phi is evaluated on the states at t = 0 and at each segment end, with
-    the bits of successive rotate_states calls, and per segment on each
-    node's 2d + 1 orbit points only, whatever the number of samples: the
-    segment-start state (its bits) and its rotations by +-2 pi l / (2d + 1)
-    about the segment's axis (x cos for a zero axis).  Dot chunks of 30 split
-    the orbit set-up into sub-blocks.  The schedule has a sample 1e-10 after
-    a boundary and zero-control nodes (omega = 0)."""
+    """phi is evaluated one dot chunk at a time through the whole schedule:
+    on the chunk's states at t = 0 and at each segment end, with the bits of
+    successive rotate_states calls, and per segment on each node's 2d turned
+    orbit points only, whatever the number of samples: its rotations by
+    +-2 pi l / (2d + 1) about the segment's axis (x cos for a zero axis).
+    So each segment-start state reaches phi once, as t = 0 or the previous
+    segment end, and a node costs 2d + 1 rows per segment.  Dot chunks of 30
+    split the orbit set-up into sub-blocks, and chunks of 5 sweep the grid in
+    three, the last of 2 nodes; a constant phi has no turned points.  The
+    schedule has a sample 1e-10 after a boundary and zero-control nodes
+    (omega = 0)."""
     if block is not None:
         monkeypatch.setattr(ensemble, "_DOT_CHUNK", block)
+    chunk = ensemble._DOT_CHUNK
     grid = make_grid(SYM_BOX, 3, 4)
     profile = angles_profile(grid, (0.7, 0.2, 0.1), (0.0, 0.9, 0.4))
     schedule = ControlSchedule(MIXED)
+    starts = [profile.states]  # the states at t = 0 and at each segment end
+    for tau, u1, u2 in schedule.segments:
+        starts.append(rotate_states(starts[-1], grid.nodes, (u1, u2), tau))
     compile_phi_ = ensemble.compile_phi
     blocks = []
 
@@ -907,35 +915,33 @@ def test_rotation_samples_match_calls(block, monkeypatch):
     monkeypatch.setattr(ensemble, "compile_phi", capturing)
     for phi in (X3, X1 * X2, X1 * X2 * X3, Poly.constant(3), X1 * X3):
         blocks.clear()
-        trace = simulate(profile, grid, uniform_density(grid), schedule, phi, 0.03)
+        simulate(profile, grid, uniform_density(grid), schedule, phi, 0.03)
         axes = ensemble.read_axes(phi)
         count = 2 * max(sum(e) for e, _ in phi.sorted_terms()) + 1
         turns = 2 * math.pi / count * np.arange(1, count // 2 + 1)
         turns = np.concatenate([turns, -turns])
-        per_segment = 1 + -(-grid.size // max(1, ensemble._DOT_CHUNK // count))
-        assert len(blocks) == 1 + len(schedule.segments) * per_segment < len(trace.times)
-        states = profile.states
-        assert blocks.pop(0).tobytes() == states.tobytes()
-        for tau, u1, u2 in schedule.segments:
-            omega = ensemble.segment_axis(grid.nodes, (u1, u2))
-            norms = np.linalg.norm(omega, axis=1)[:, None]
-            axis = omega / np.where(norms == 0.0, 1.0, norms)
-            lo = 0
-            for got in blocks[: per_segment - 1]:
-                rows = len(got) // count
-                x, a = states[lo : lo + rows], axis[lo : lo + rows]
-                assert got.shape == (count * rows, len(axes))
-                assert got[:rows].tobytes() == np.ascontiguousarray(x[:, axes]).tobytes()
-                for point, turn in zip(got[rows:].reshape(count - 1, rows, len(axes)), turns):
-                    dot = np.einsum("ij,ij->i", a, x)[:, None]
-                    want = x * math.cos(turn) + np.cross(a, x) * math.sin(turn) + a * dot * (1 - math.cos(turn))
-                    assert np.max(np.abs(point - want[:, axes]), initial=0.0) <= 1e-15
-                lo += rows
-            assert lo == grid.size
-            states = rotate_states(states, grid.nodes, (u1, u2), tau)
-            assert blocks[per_segment - 1].tobytes() == states.tobytes()
-            del blocks[:per_segment]
-        assert not blocks
+        sub = max(1, chunk // count)
+        assert sum(map(len, blocks)) == grid.size * (1 + len(schedule.segments) * count)
+        calls = iter(blocks)
+        for lo in range(0, grid.size, chunk):
+            ns = slice(lo, lo + chunk)
+            assert next(calls).tobytes() == starts[0][ns].tobytes()
+            for (_, u1, u2), x, end in zip(schedule.segments, starts, starts[1:]):
+                omega = ensemble.segment_axis(grid.nodes[ns], (u1, u2))
+                norms = np.linalg.norm(omega, axis=1)[:, None]
+                axis = omega / np.where(norms == 0.0, 1.0, norms)
+                for s in range(0, len(omega), sub):
+                    got = next(calls)
+                    xs, a = x[ns][s : s + sub], axis[s : s + sub]
+                    assert got.shape == ((count - 1) * len(xs), len(axes))
+                    points = got.reshape(count - 1, len(xs), len(axes))
+                    for point, turn in zip(points, turns):
+                        dot = np.einsum("ij,ij->i", a, xs)[:, None]
+                        cos, sin = math.cos(turn), math.sin(turn)
+                        want = xs * cos + np.cross(a, xs) * sin + a * dot * (1 - cos)
+                        assert np.max(np.abs(point - want[:, axes]), initial=0.0) <= 1e-15
+                assert next(calls).tobytes() == end[ns].tobytes()
+        assert next(calls, None) is None
 
 
 @pytest.mark.parametrize(
@@ -1095,7 +1101,8 @@ def test_simulate_sets_up_each_segment_once(monkeypatch):
     and none for the segment end, which rotates from the same set-up: 5
     segments and about 60 samples give 5 set-ups per block, all without a
     duration, in one block of the 9 nodes, and with dot chunks of 4 nodes in
-    blocks of 4, 4 and 1."""
+    blocks of 4, 4 and 1, each block running the whole schedule before the
+    next."""
     grid = make_grid(BOX, 3, 3)
     profile = angles_profile(grid, (0.4, 0.3, 0.2), (0.1, 0.5, -0.3))
     schedule = ControlSchedule(
@@ -1114,7 +1121,7 @@ def test_simulate_sets_up_each_segment_once(monkeypatch):
         plans.clear()
         trace = simulate(profile, grid, uniform_density(grid), schedule, X3, dt=0.025)
         assert len(trace.times) > 60
-        assert plans == [(size, None) for size in sizes] * len(schedule.segments)
+        assert plans == [(size, None) for size in sizes for _ in schedule.segments]
 
 
 def _write_csv_per_row(path, header, rows):
