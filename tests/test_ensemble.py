@@ -1077,6 +1077,18 @@ def _rotate_one_expression(states, omega, tau):
     return states * cos + cross * sin + axis * (dot * (1.0 - cos.ravel()))[:, None]
 
 
+def test_rotation_plan_norms_match_linalg_norm():
+    """RotationPlan sums the squared omega columns in np.linalg.norm's order,
+    so its norms have np.linalg.norm's bits: over entries of magnitude 1e-3
+    to 1e3, mixed within a row, and on zero rows."""
+    rng = np.random.default_rng(7)
+    for rows in (1, 7, 8192, 36864):
+        omega = rng.uniform(-1.0, 1.0, (rows, 3)) * 10.0 ** rng.uniform(-3.0, 3.0, (rows, 3))
+        omega[::5] = 0.0
+        norms = ensemble.RotationPlan(omega).norms
+        assert norms.tobytes() == np.linalg.norm(omega, axis=1).tobytes()
+
+
 @pytest.mark.parametrize("tau", [0.7, -0.3, 1e-10, 0.0])
 def test_rotate_states_matches_one_expression_formula(tau):
     grid = make_grid(SYM_BOX, 5, 4)
