@@ -345,49 +345,55 @@ def evolve_profile(
     return Profile(states)
 
 
-def compile_phi(phi: Poly) -> Callable[[np.ndarray], np.ndarray]:
-    """Vectorized evaluator for a real observable over (N, 3) state arrays,
-    or (N, R) arrays of only the R coordinates phi reads, in axis order.
+def compile_polys(polys: Sequence[Poly]) -> Callable[[np.ndarray], np.ndarray]:
+    """Vectorized evaluator for real polynomials over (N, 3) state arrays, or
+    (N, R) arrays of only the R coordinates they read, in axis order; row i
+    of its (len(polys), N) result holds polys[i].
 
-    Powers come from iterated multiplication, not libm pow, so evaluation is
-    exactly parity-covariant: even-degree observables give bitwise-identical
-    values on antipodal states.  Each term is the product of its powers in
-    axis order, built in its column of a C-ordered (N, K) array; coordinates
-    phi does not read are never read.
+    Each power comes once per call from iterated multiplication, not libm
+    pow, so even-degree polynomials give bitwise-identical values on
+    antipodal states.  Each term is the product of its powers in axis order,
+    built in its column of a C-ordered (N, K) array, and each polynomial sums
+    its own terms in one (N, K) @ (K,) product.  A lone state fills two rows:
+    numpy would sum one row with its dot, in another order than BLAS.  A sum
+    of up to 7 terms then has the same bits in every block; OpenBLAS's gemv
+    sums 8 or more in the last N mod 4 rows of a block in another order.
     """
-    if not phi.is_real:
+    if not all(p.is_real for p in polys):
         raise ValueError("observable must be real-valued")
-    items = phi.sorted_terms()
-    exps = np.array([e for e, _ in items], dtype=np.int64).reshape(-1, 3)
-    coeffs = np.array([float(c.re) for _, c in items])
-    # per axis, for each power e = 1, 2, ... up to the largest: the terms
-    # that take x_d^e, each with whether x_d^e is its first factor
-    steps = [
-        [
-            [(t, not exps[t, :d].any()) for t in np.flatnonzero(exps[:, d] == e)]
-            for e in range(1, int(exps[:, d].max(initial=0)) + 1)
-        ]
-        for d in range(3)
-    ]
-    constant = np.flatnonzero(~exps.any(axis=1))
-    reads = [d for d in range(3) if steps[d]]
+    items = [p.sorted_terms() for p in polys]
+    top = [max((e[d] for terms in items for e, _ in terms), default=0) for d in range(3)]
+    reads = [d for d in range(3) if top[d]]
+    # per polynomial: its terms' factors (x_d^e is powers[first[d] + e]) and coefficients
+    first = [sum(top[:d]) - 1 for d in range(3)]
+    factors = [[[first[d] + e[d] for d in range(3) if e[d]] for e, _ in terms] for terms in items]
+    coeffs = [np.array([float(c.re) for _, c in terms]) for terms in items]
 
     def evaluate(states: np.ndarray) -> np.ndarray:
-        term_vals = np.empty((states.shape[0], exps.shape[0]))
-        term_vals[:, constant] = 1.0
+        rows = 2 if len(states) == 1 else len(states)
+        powers = []
         for j, d in enumerate(reads):
-            x = power = states[:, d if states.shape[1] == 3 else j]
-            for e, terms in enumerate(steps[d], start=1):
-                if e > 1:
-                    power = np.multiply(power, x, out=None if e == 2 else power)
-                for t, first in terms:
-                    if first:
-                        term_vals[:, t] = power
-                    else:
-                        term_vals[:, t] *= power
-        return term_vals @ coeffs
+            x = states[:, d if states.shape[1] == 3 else j]
+            powers.append(x)
+            for _ in range(1, top[d]):
+                powers.append(powers[-1] * x)
+        out = np.empty((len(polys), rows))
+        for row, terms, c in zip(out, factors, coeffs):
+            term_vals = np.empty((rows, len(c)))
+            for col, term in zip(term_vals.T, terms):
+                col[:] = powers[term[0]] if term else 1.0
+                for factor in term[1:]:
+                    col *= powers[factor]
+            np.matmul(term_vals, c, out=row)
+        return out[:, : len(states)]
 
     return evaluate
+
+
+def compile_phi(phi: Poly) -> Callable[[np.ndarray], np.ndarray]:
+    """compile_polys for one observable: its evaluator returns the (N,) row."""
+    evaluate = compile_polys([phi])
+    return lambda states: evaluate(states)[0]
 
 
 def read_axes(phi: Poly) -> list[int]:

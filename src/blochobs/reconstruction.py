@@ -35,6 +35,7 @@ from .ensemble import (
     Profile,
     RotationPlan,
     compile_phi,
+    compile_polys,
     read_axes,
     rotate_planned,
     rotate_states,
@@ -124,10 +125,9 @@ def oracle_psi_samples(
     """psi_i on the grid nodes, one row per basis element, from the hidden
     truth and the kappa weights (``kappa_weights``) of the basis words."""
     profile, density = truth
-    psi = np.empty((len(basis_polys), len(density.values)))
-    for row, p, k in zip(psi, basis_polys, kexp):
-        np.multiply(k, compile_phi(p)(profile.states), out=row)
-        row *= density.values
+    psi = compile_polys(basis_polys)(profile.states)
+    psi *= kexp
+    psi *= density.values
     return psi
 
 
@@ -478,30 +478,25 @@ class PointInverter:
     _BLOCK = 512
 
     def __init__(self, basis: HarmonicBasis):
-        self.basis = basis
         self.n = basis.n
         top, lowered = coordinates(basis.polys, weight_ladder(basis.n).vectors[:2])
         self._transform = np.array(
             [[c.to_complex() for c in top], [(c / (-2 * basis.n)).to_complex() for c in lowered]]
         )
-        self._evaluators = [compile_phi(p) for p in basis.polys]
+        self._evaluate = compile_polys(basis.polys)
 
-    def _residual(self, points: np.ndarray, values: np.ndarray) -> np.ndarray:
-        res = np.zeros(points.shape[0])
-        for ev, row in zip(self._evaluators, values):
-            np.maximum(res, np.abs(ev(points) - row), out=res)
-        return res
-
-    def _candidates(self, values: np.ndarray):
-        """Candidate slots in ranking order, each (points (N, 3), usable mask):
-        both poles, always usable, then one slot per n-th root.  Near the axis
-        the first two transformed values degenerate and the root construction
-        loses the vertical component; the pole snap stays within the distance
-        to the axis."""
+    def _rank(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Best candidate and its residual per column.  The slots, in ranking
+        order, are both poles, always usable, then one per n-th root; the
+        first usable slot of least residual wins, so a tie keeps the earlier
+        slot.  Near the axis the first two transformed values degenerate and
+        the root construction loses the vertical component; the pole snap
+        stays within the distance to the axis."""
         n = self.n
         c1, c2 = self._transform.real @ values + 1j * (self._transform.imag @ values)
-        for x3 in (1.0, -1.0):
-            yield np.tile([0.0, 0.0, x3], (values.shape[1], 1)), True
+        points = np.zeros((n + 2, values.shape[1], 3))
+        points[:2, :, 2] = [[1.0], [-1.0]]
+        usable = np.ones((n + 2, values.shape[1]), dtype=bool)
         has_root = np.abs(c1) > 1e-15
         radius = np.abs(c1) ** (1.0 / n)
         base_angle = np.arctan2(c1.imag, c1.real) / n
@@ -512,21 +507,19 @@ class PointInverter:
             with np.errstate(divide="ignore", invalid="ignore"):
                 cand = np.stack([w.real, w.imag, (c2 * w / c1).real], axis=1)
                 norm = np.sqrt(np.sum(cand * cand, axis=1))
-                points = cand / norm[:, None]
-            yield points, has_root & (0.5 < norm) & (norm < 2.0)
-
-    def _rank(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Best candidate and its residual per column, slot by slot against a
-        running best with a strict '<', so a tie keeps the earlier slot."""
-        slots = self._candidates(values)
-        best, _ = next(slots)
-        best_res = self._residual(best, values)
-        for points, usable in slots:
-            res = self._residual(points, values)
-            better = usable & (res < best_res)
-            best[better] = points[better]
-            best_res[better] = res[better]
-        return best, best_res
+                np.divide(cand, norm[:, None], out=points[2 + mth])
+            usable[2 + mth] = has_root & (0.5 < norm) & (norm < 2.0)
+        # one evaluation per slot: a column keeps its row in the block, and
+        # with it the bits BLAS gives that row (see compile_polys)
+        res = np.empty(usable.shape)
+        for p, r in zip(points, res):
+            forward = self._evaluate(p)
+            forward -= values
+            np.max(np.abs(forward, out=forward), axis=0, out=r)
+        res[~usable] = np.inf
+        best = np.argmin(res, axis=0)
+        cols = np.arange(values.shape[1])
+        return points[best, cols], res[best, cols]
 
     def invert_with_residual(self, values: np.ndarray) -> tuple[np.ndarray, str, np.ndarray]:
         """Points (N, 3), ambiguity flag and forward residuals (N,) from a

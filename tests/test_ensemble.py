@@ -13,6 +13,7 @@ from blochobs.ensemble import (
     Profile,
     angles_profile,
     compile_phi,
+    compile_polys,
     constant_profile,
     evolve_profile,
     gaussian_density,
@@ -422,6 +423,62 @@ def test_compile_phi_matches_power_tables(phi):
         expected = _compile_phi_tables(phi)(states)
         assert got.shape == (len(rows),)
         assert np.array_equal(got, expected)
+
+
+def _word_images(phi):
+    from blochobs.representation import apply_word, word_basis_search
+
+    return [apply_word(w, phi) for w in word_basis_search(phi)]
+
+
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda: compile_phi(X1**6 - 15 * X1**4 * X2**2 + 15 * X1**2 * X2**4 - X2**6),
+        lambda: compile_phi(X1**2 - X2**2),
+        lambda: compile_phi(X3 + X1 * X2 + Poly.constant(3)),
+        lambda: compile_polys(_word_images(X1 * X2 * X3)),
+    ],
+    ids=["re-w6", "x1^2-x2^2", "x3+x1x2+3", "x1x2x3-word-images"],
+)
+def test_evaluation_does_not_depend_on_the_block(evaluate):
+    """A state gets the same bits alone as inside a block of any size: a
+    one-row block is summed by BLAS like the rows of any other block, not by
+    numpy's dot.  Every polynomial here has at most 7 terms (compile_polys
+    names the limit)."""
+    evaluate = evaluate()
+    rng = np.random.default_rng(29)
+    states = rng.normal(size=(20000, 3))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    checked = states[:2000]
+    alone = np.concatenate([evaluate(checked[i : i + 1]) for i in range(len(checked))], axis=-1)
+    for size in (2, 3, 5, 13):
+        blocks = [evaluate(checked[lo : lo + size]) for lo in range(0, len(checked), size)]
+        assert np.concatenate(blocks, axis=-1).tobytes() == alone.tobytes()
+    # the checked states at every position mod 4 of one 20,000-row block
+    whole = evaluate(np.roll(states, 7, axis=0))
+    assert np.roll(whole, -7, axis=-1)[..., :2000].tobytes() == alone.tobytes()
+
+
+def test_compile_polys_rows_are_compile_phi():
+    """Row i of the list evaluator is compile_phi(polys[i]) bit for bit, on
+    C-ordered rows and on (N, R) arrays of only the coordinates read."""
+    polys = _word_images(X1 * X2 * X3) + [Poly.zero(), Poly.constant(3), X3 * X3]
+    rng = np.random.default_rng(7)
+    states = rng.normal(size=(700, 3))
+    states /= np.linalg.norm(states, axis=1)[:, None]
+    evaluate = compile_polys(polys)
+    for rows in (0, 1, 2, 513, 700):
+        got = evaluate(states[:rows])
+        assert got.shape == (len(polys), rows)
+        for p, row in zip(polys, got):
+            assert row.tobytes() == compile_phi(p)(states[:rows]).tobytes()
+    x3 = compile_polys([X3, X3 * X3 - Poly.constant(1)])
+    assert x3(states[:, 2:]).tobytes() == x3(states).tobytes()
+    from blochobs.polynomials import CRational
+
+    with pytest.raises(ValueError):
+        compile_polys([X3, X1.scale(CRational(0, 1))])
 
 
 def test_compile_phi_zero_poly_gives_zeros():

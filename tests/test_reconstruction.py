@@ -731,6 +731,149 @@ def test_invert_batch_mixed_points(n):
         inverter.invert_with_residual(garbage)
 
 
+RE_W6 = X1**6 - 15 * X1**4 * X2**2 + 15 * X1**2 * X2**4 - X2**6
+BASES = {
+    **{
+        f"words-{name}": (phi, None)
+        for name, phi in (("x3", X3), ("x1x2", X1 * X2), ("x1x2x3", X1 * X2 * X3), ("re-w6", RE_W6))
+    },
+    **{f"harmonic-{n}": (None, n) for n in range(1, 7)},
+}
+
+
+def _basis(key):
+    """A basis of H_n: the word images of an observable, or real_harmonic_basis(n)."""
+    phi, n = BASES[key]
+    if phi is None:
+        return real_harmonic_basis(n), None
+    words = word_basis_search(phi)
+    return HarmonicBasis(phi.homogeneous_degree, tuple(apply_word(w, phi) for w in words)), words
+
+
+def _reference_invert(inverter, evaluators, values):
+    """PointInverter.invert_with_residual as it ranked before the basis had
+    one evaluator: one evaluator per polynomial, and per column block the
+    candidate slots one at a time against a running best with a strict '<'."""
+    n = inverter.n
+
+    def candidates(values):
+        c1, c2 = inverter._transform.real @ values + 1j * (inverter._transform.imag @ values)
+        for x3 in (1.0, -1.0):
+            yield np.tile([0.0, 0.0, x3], (values.shape[1], 1)), True
+        has_root = np.abs(c1) > 1e-15
+        radius = np.abs(c1) ** (1.0 / n)
+        base_angle = np.arctan2(c1.imag, c1.real) / n
+        for mth in range(n):
+            ang = base_angle + 2.0 * math.pi * mth / n
+            w = radius * np.cos(ang) + 1j * (radius * np.sin(ang))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cand = np.stack([w.real, w.imag, (c2 * w / c1).real], axis=1)
+                norm = np.sqrt(np.sum(cand * cand, axis=1))
+                points = cand / norm[:, None]
+            yield points, has_root & (0.5 < norm) & (norm < 2.0)
+
+    def residual(points, values):
+        res = np.zeros(points.shape[0])
+        for ev, row in zip(evaluators, values):
+            np.maximum(res, np.abs(ev(points) - row), out=res)
+        return res
+
+    def rank(values):
+        slots = candidates(values)
+        best, _ = next(slots)
+        best_res = residual(best, values)
+        for points, usable in slots:
+            res = residual(points, values)
+            better = usable & (res < best_res)
+            best[better] = points[better]
+            best_res[better] = res[better]
+        return best, best_res
+
+    best = np.empty((values.shape[1], 3))
+    best_res = np.empty(values.shape[1])
+    for lo in range(0, values.shape[1], inverter._BLOCK):
+        cols = slice(lo, lo + inverter._BLOCK)
+        best[cols], best_res[cols] = rank(values[:, cols])
+    scale = np.maximum(1.0, np.max(np.abs(values), axis=0))
+    missed = np.flatnonzero(best_res > reconstruction.CONSISTENCY_TOL * scale)
+    if missed.size:
+        raise InconsistentValuesError(f"column {int(missed[0])}")
+    if n % 2 == 0:
+        return reconstruction._canonical_representative(best), "antipodal-pair", best_res
+    return best, "unique", best_res
+
+
+def _inversion_points():
+    """Both poles, equator points, points 1e-9 off the axis, then 2,000
+    random sphere points."""
+    rng = np.random.default_rng(28)
+    angles = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    equator = np.stack([np.cos(angles), np.sin(angles), np.zeros(16)], axis=1)
+    off = [[1e-9, 0.0, 1.0], [0.0, -1e-9, -1.0], [1e-9, 1e-9, 1.0], [-1e-9, 1e-9, -1.0]]
+    pts = np.vstack([[[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], equator, off, rng.normal(size=(2000, 3))])
+    return pts / np.linalg.norm(pts, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("key", list(BASES))
+def test_point_inverter_keeps_the_per_slot_ranking(key):
+    """One evaluator per basis and one residual array per block return the
+    points, flag and residuals of the per-polynomial, per-slot ranking bit for
+    bit, with blocks of 1, 511, 512 and 513 columns and the full batch."""
+    basis, _ = _basis(key)
+    inverter = PointInverter(basis)
+    evaluators = [compile_phi(p) for p in basis.polys]
+    pts = _inversion_points()
+    values = np.stack([ev(pts) for ev in evaluators])
+    for count in (1, 511, 512, 513, len(pts)):
+        for lo in {0, len(pts) - count}:
+            v = values[:, lo : lo + count]
+            got, flag, res = inverter.invert_with_residual(v)
+            want, want_flag, want_res = _reference_invert(inverter, evaluators, v)
+            assert flag == want_flag
+            assert got.tobytes() == want.tobytes()
+            assert res.tobytes() == want_res.tobytes()
+
+
+@pytest.mark.parametrize("key", list(BASES))
+@pytest.mark.parametrize("n1", [1, 17], ids=["1x1", "17x17"])
+def test_oracle_psi_samples_rows_are_the_per_polynomial_formula(key, n1):
+    """Every row of the one-evaluator psi samples is kexp_i * p_i(x) * rho
+    with p_i from its own compile_phi, bit for bit."""
+    basis, words = _basis(key)
+    grid = make_grid(BOX, n1, n1)
+    profile, density = smooth_truth(grid)
+    if words is None:
+        kexp = np.random.default_rng(3).uniform(0.5, 2.0, (len(basis.polys), grid.size))
+    else:
+        kexp = kappa_weights([kappa_of_word(w) for w in words], grid.nodes)
+    psi = oracle_psi_samples((profile, density), basis.polys, kexp)
+    assert psi.shape == (len(basis.polys), grid.size)
+    for row, p, k in zip(psi, basis.polys, kexp):
+        assert row.tobytes() == (k * compile_phi(p)(profile.states) * density.values).tobytes()
+
+
+def test_reconstruct_compiles_one_evaluator_per_basis_list(monkeypatch):
+    """oracle-psi compiles the word images once for the psi samples and once
+    for the point inverter, and compiles no polynomial on its own."""
+    compiled = []
+    compile_polys = reconstruction.compile_polys
+
+    def counting(polys):
+        compiled.append(len(polys))
+        return compile_polys(polys)
+
+    def refuse(phi):
+        raise AssertionError("a basis polynomial was compiled on its own")
+
+    monkeypatch.setattr(reconstruction, "compile_polys", counting)
+    monkeypatch.setattr(reconstruction, "compile_phi", refuse)
+    grid = make_grid(BOX, 6, 6)
+    profile, density = smooth_truth(grid)
+    result = reconstruct(X1 * X2 * X3, grid, profile, density, ReconstructionConfig())
+    assert not result.undefined_nodes
+    assert compiled == [7, 7]
+
+
 def test_stitch_signs_global_flip():
     grid = make_grid(BOX, 8, 8)
     profile, _ = smooth_truth(grid)
