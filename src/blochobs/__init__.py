@@ -34,6 +34,7 @@ from .identities import (
     casimir_normalizer,
     constant_quadratic_form,
     example_basis,
+    normalized_identity,
     real_harmonic_basis,
     s2_closure_check,
     spherical_harmonic,
@@ -67,7 +68,6 @@ from .reconstruction import (
     oracle_moments,
     reconstruct,
     recover_density,
-    recover_harmonic_values,
     stitch_signs,
     StageError,
     WordTooLongError,

@@ -155,6 +155,22 @@ def constant_quadratic_form(basis: HarmonicBasis) -> QuadraticIdentity:
     return identity
 
 
+@lru_cache(maxsize=None)
+def normalized_identity(n: int) -> QuadraticIdentity:
+    """real_harmonic_basis(n)'s identity with element k scaled by 2^s so that
+    C_kk / 4^s lies in [1/4, 4), exactly and with no second build: C is diagonal
+    and positive there (checked), so each element is at most 2 on the sphere."""
+    identity = constant_quadratic_form(real_harmonic_basis(n))
+    polys, coeffs = [], []
+    for k, (p, row) in enumerate(zip(identity.basis.polys, identity.coeffs)):
+        if row[k] <= 0 or any(c for j, c in enumerate(row) if j != k):
+            raise AssertionError("the form over real_harmonic_basis is not positive diagonal")
+        s = (row[k].numerator.bit_length() - row[k].denominator.bit_length()) // 2
+        polys.append(p.scale(Fraction(2) ** s))  # C_kk / 4^s lies in (1/2, 4)
+        coeffs.append(tuple(c / Fraction(4) ** s for c in row))
+    return QuadraticIdentity(HarmonicBasis(n, tuple(polys)), tuple(coeffs))
+
+
 def verify_quadratic_identity(identity: QuadraticIdentity) -> bool:
     """Exact check that sum_ij C_ij p_i p_j - ||x||^(2n) is the zero polynomial.
 

@@ -7,10 +7,10 @@ extract the moments
     psi_i(sigma) = sigma^kappa_i p_i(x_sigma(0)) rho(sigma),
 
 fit each psi_i in the polynomial algebra generated by m_xi = sigma1 sigma2^2
-and m_zeta = sigma2^4, then pointwise: the constant quadratic form gives
-rho^2, division gives the basis values p_i(x_sigma(0)), and the closed-form
-point inversion returns x_sigma(0) up to the parity ambiguity, resolved
-globally by a neighbor sweep for even degrees.
+and m_zeta = sigma2^4, then pointwise: map psi / sigma^kappa once into the
+degree's normalized basis, whose diagonal quadratic form gives rho^2 as a sum
+of nonnegative terms, divide by rho, and invert to x_sigma(0) up to the
+parity ambiguity, resolved globally by a neighbor sweep for even degrees.
 
 Three modes isolate the error sources: oracle-psi (algebra only),
 oracle-moments (adds the Gram-system fit), measured-moments (adds finite
@@ -43,7 +43,7 @@ from .ensemble import (
     segment_axis,
 )
 from .exactlinalg import certified_gram_schmidt
-from .identities import HarmonicBasis, QuadraticIdentity, constant_quadratic_form
+from .identities import HarmonicBasis, QuadraticIdentity, normalized_identity
 from .polynomials import Poly
 from .representation import (
     KappaSignature,
@@ -375,7 +375,6 @@ class FeatureBasis:
 
     def __init__(self, box: ParameterBox, D: int):
         self.box = box
-        self.D = D
         self.pairs = feature_pairs(D)
         exps = [(a, 2 * a + 4 * b) for a, b in self.pairs]
         gram = _feature_gram(box, exps)
@@ -429,37 +428,29 @@ def fit_psi(moments: np.ndarray, grid: ParameterGrid, D: int) -> np.ndarray:
 
 
 def recover_density(
-    psi: np.ndarray, identity: QuadraticIdentity, kexp: np.ndarray, rho_floor: float
-) -> tuple[Density, np.ndarray]:
-    """rho(sigma)^2 from the constant quadratic form over the psi samples,
-    and the mask of nodes where it is defined.
-
-    The identity must be expressed in the same basis the psi samples belong
-    to (the word-image basis): build it on that basis with
-    ``constant_quadratic_form``.  A node is undefined where rho falls below
-    rho_floor * max(rho), and where any kappa weight vanishes: psi carries no
-    value to divide there, and rho reads 0.
-    """
+    psi: np.ndarray, kexp: np.ndarray, change: list, identity: QuadraticIdentity, rho_floor: float
+) -> tuple[Density, np.ndarray, np.ndarray]:
+    """rho(sigma), its defined-node mask, and q = rho times the values of the
+    identity's basis (NaN off the mask), from psi over the word images: psi is
+    divided by its kappa weights in place and mapped by ``change``, whose row k
+    holds the exact coordinates of basis element k over the word images.  The
+    form is diagonal and positive (``normalized_identity``), so rho^2 =
+    sum_k C_kk q_k^2 has no cancellation.  A node is undefined where rho falls
+    below rho_floor * max(rho), and where any kappa weight vanishes: psi
+    carries no value to divide there, and rho reads 0."""
     m = len(kexp)
-    if psi.shape[0] != m or len(identity.basis.polys) != m:
+    if psi.shape[0] != m or len(change) != m or len(identity.coeffs) != m:
         raise ValueError("psi samples, kappa weights, and identity basis disagree in size")
     weighted = np.all(kexp != 0.0, axis=0)
-    v = np.divide(psi, kexp, out=np.zeros_like(psi), where=weighted)
-    C = np.array([[float(c) for c in row] for row in identity.coeffs])
-    rho_sq = np.einsum("ij,in,jn->n", C, v, v)
-    rho = np.sqrt(np.clip(rho_sq, 0.0, None))
+    np.divide(psi, kexp, out=psi, where=weighted)
+    psi[:, ~weighted] = 0.0
+    q = row_dots(psi.T, np.array([[float(c.re) for c in row] for row in change])[:, None, :])
+    diagonal = [float(row[k]) for k, row in enumerate(identity.coeffs)]
+    rho = np.sqrt(sum(c * row * row for c, row in zip(diagonal, q)))
     peak = rho.max(initial=0.0)
-    return Density(rho), weighted & (rho >= rho_floor * peak) & (peak > 0.0)
-
-
-def recover_harmonic_values(
-    psi: np.ndarray, density: Density, kexp: np.ndarray, defined: np.ndarray
-) -> np.ndarray:
-    """Invert psi_i = sigma^kappa_i p_i(x) rho to the basis values p_i(x) on
-    the defined nodes; NaN elsewhere."""
-    values = np.full_like(psi, np.nan)
-    values[:, defined] = psi[:, defined] / (kexp[:, defined] * density.values[defined])
-    return values
+    defined = weighted & (rho >= rho_floor * peak) & (peak > 0.0)
+    q[:, ~defined] = np.nan
+    return Density(rho), defined, q
 
 
 class PointInverter:
@@ -641,15 +632,11 @@ def reconstruct(
 
     words = _stage("word-basis-search", word_basis_search, phi)
     basis_polys = [apply_word(w, phi) for w in words]
-    kappas = [kappa_of_word(w) for w in words]
     diagnostics["words"] = ["".join(str(i) for i in w) for w in words]
 
-    identity = _stage(
-        "quadratic-identity",
-        lambda: constant_quadratic_form(HarmonicBasis(n, tuple(basis_polys))),
-    )
-
-    kexp = kappa_weights(kappas, grid.nodes)
+    identity = _stage("quadratic-identity", normalized_identity, n)
+    change = _stage("quadratic-identity", coordinates, basis_polys, identity.basis.polys)
+    kexp = kappa_weights([kappa_of_word(w) for w in words], grid.nodes)
     if config.mode == "measured-moments":
         sim = OutputSimulator(truth_profile, grid, truth_density)
         moments = _stage(
@@ -671,27 +658,23 @@ def reconstruct(
         psi = _stage("fit", fit_psi, moments, grid, config.D)
         diagnostics["gram_min_pivot"] = _feature_basis(grid.box, config.D).min_pivot
 
-    density, defined = _stage("density", recover_density, psi, identity, kexp, config.rho_floor)
+    density, defined, q = _stage(
+        "density", recover_density, psi, kexp, change, identity, config.rho_floor
+    )
+    del psi  # divided in place and mapped into q
     undefined = np.flatnonzero(~defined).tolist()
     diagnostics["undefined_count"] = len(undefined)
 
-    values = _stage("harmonic-values", recover_harmonic_values, psi, density, kexp, defined)
+    values = _stage("harmonic-values", lambda: q[:, defined] / density.values[defined])
+    del q
 
     states = np.full((grid.size, 3), np.nan)
-    diagnostics["inversion_max_residual"] = 0.0
-    if defined.any():
-        inverter = PointInverter(identity.basis).invert_with_residual
-        points, _, residuals = _stage("point-inversion", inverter, values[:, defined])
-        states[defined] = points
-        diagnostics["inversion_max_residual"] = float(residuals.max())
-
+    inverter = PointInverter(identity.basis).invert_with_residual
+    states[defined], ambiguity, residuals = _stage("point-inversion", inverter, values)
+    diagnostics["inversion_max_residual"] = float(residuals.max(initial=0.0))
     if n % 2 == 0:
-        stitched, components = _stage("stitch", stitch_signs, states, defined, grid)
-        states = stitched
+        states, components = _stage("stitch", stitch_signs, states, defined, grid)
         diagnostics["stitch_components"] = components
-        ambiguity = "antipodal-pair"
-    else:
-        ambiguity = "unique"
 
     return ReconstructionResult(
         density_est=density,

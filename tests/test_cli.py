@@ -128,6 +128,10 @@ ANTIPODE = {
 # The equivalence-x1x2 pin (was 2535640a...) was re-recorded when simulate
 # came to sample each segment from phi's Fourier rows on the node orbits: its
 # gap, roundoff between antipodal pairs, moved from 8.3e-17 to 1.7e-16.
+# Both moment-mode pins (were 234472e2... and 196e0205...) were re-recorded
+# when rho came to be read off the diagonal form of the normalized harmonic
+# basis: the density kept its bytes, and 5 of 9 and 41 of 64 profile nodes
+# moved by at most 1.1e-16 and 2.2e-16.
 PINNED_RUNS = {
     "equivalence-x3": (
         ["equivalence"],
@@ -142,12 +146,12 @@ PINNED_RUNS = {
     "measured-moments-x3": (
         ["reconstruct", "--mode", "measured-moments"],
         {"phi": {"degree": 1, "named": "x3"}, "grid": 3},
-        "234472e2b0979f9f20efa00c33fbccf337edfa9a846016b84a38d171b0c5c9c0",
+        "99c26965330a1495e8d492e7ba2e037eeb5bb88283bbfe9fbe355c1cc13179ad",
     ),
     "oracle-moments-x3": (
         ["reconstruct", "--mode", "oracle-moments"],
         {"phi": {"degree": 1, "named": "x3"}, "grid": 8, "D": 6},
-        "196e0205142e2eb24314e9f897e26c32e2ace3c11beb38ac901910c39d337e2f",
+        "53186762d77de017c273fe6a91d913ff7e79148fce7ca33d2985508a7da8550e",
     ),
 }
 
